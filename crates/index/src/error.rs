@@ -54,6 +54,15 @@ pub enum IndexError {
         /// The offending length/count.
         len: u64,
     },
+    /// A length or count read from a persisted image, manifest or log
+    /// record promises more data than is left in the input. The loader
+    /// rejects it before allocating anything of that size.
+    CorruptLength {
+        /// What the field counts (e.g. `"string length"`).
+        what: &'static str,
+        /// The bytes the field asks for.
+        len: u64,
+    },
     /// A persisted catalog manifest declares a format version this
     /// build does not understand — refusing to load beats mis-parsing
     /// it as the wrong layout.
@@ -110,6 +119,12 @@ impl std::fmt::Display for IndexError {
                     "{what} of {len} exceeds the persistent format's u32 field width"
                 )
             }
+            IndexError::CorruptLength { what, len } => {
+                write!(
+                    f,
+                    "{what} asks for {len} bytes, more than the input holds: corrupt length field"
+                )
+            }
             IndexError::CatalogVersion { found, supported } => {
                 write!(
                     f,
@@ -122,3 +137,14 @@ impl std::fmt::Display for IndexError {
 }
 
 impl std::error::Error for IndexError {}
+
+#[cfg(test)]
+mod tests {
+    /// Every query result and commit outcome carries an `IndexError`
+    /// slot, so a new variant must not grow the enum past its payloads'
+    /// common 24 bytes plus tag.
+    #[test]
+    fn index_error_stays_small() {
+        assert!(std::mem::size_of::<super::IndexError>() <= 32);
+    }
+}

@@ -91,6 +91,26 @@ pub(crate) fn read_u64(r: &mut impl Read) -> io::Result<u64> {
     Ok(u64::from_le_bytes(b))
 }
 
+/// Checks a length or count taken from untrusted bytes: `count` items
+/// of `unit` bytes each must fit in the `remaining` bytes of the input.
+/// A corrupt field thus yields a typed [`IndexError::CorruptLength`]
+/// (`InvalidData`) instead of a huge allocation.
+pub(crate) fn checked_len(
+    count: u64,
+    unit: usize,
+    remaining: usize,
+    what: &'static str,
+) -> io::Result<usize> {
+    let len = count.saturating_mul(unit as u64);
+    if len > remaining as u64 {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidData,
+            IndexError::CorruptLength { what, len },
+        ));
+    }
+    Ok(count as usize)
+}
+
 /// Narrows a length/count to the persistent format's `u32` field
 /// width, rejecting (instead of silently truncating via `as u32`)
 /// values that do not fit — a truncated count would make the manifest
@@ -217,8 +237,18 @@ impl IndexManager {
     }
 
     /// Reconstructs an index from a saved image, validating that it
-    /// belongs to `doc`'s current state.
+    /// belongs to `doc`'s current state. Reads `r` to its end: the
+    /// image is taken whole so every count in it can be checked against
+    /// the bytes actually present.
     pub fn load_from(doc: &Document, mut r: impl Read) -> io::Result<IndexManager> {
+        let mut image = Vec::new();
+        r.read_to_end(&mut image)?;
+        IndexManager::load_image(doc, &image)
+    }
+
+    /// [`IndexManager::load_from`] over an image already in memory.
+    pub(crate) fn load_image(doc: &Document, image: &[u8]) -> io::Result<IndexManager> {
+        let mut r = image;
         let mut magic = [0u8; 4];
         r.read_exact(&mut magic)?;
         if &magic != MAGIC {
@@ -254,7 +284,7 @@ impl IndexManager {
         let mut mgr = IndexManager::new_empty(doc, config);
 
         if string_index {
-            let n = read_u64(&mut r)? as usize;
+            let n = checked_len(read_u64(&mut r)?, 8, r.len(), "string index entries")?;
             let mut entries = Vec::with_capacity(n);
             for _ in 0..n {
                 let node = read_u32(&mut r)?;
@@ -269,7 +299,7 @@ impl IndexManager {
         }
 
         for ty in typed_types {
-            let n = read_u64(&mut r)? as usize;
+            let n = checked_len(read_u64(&mut r)?, 14, r.len(), "typed index entries")?;
             let mut entries = Vec::with_capacity(n);
             for _ in 0..n {
                 let node = read_u32(&mut r)?;
@@ -297,11 +327,11 @@ pub(crate) fn write_str(w: &mut impl Write, s: &str) -> io::Result<()> {
     w.write_all(s.as_bytes())
 }
 
-pub(crate) fn read_str(r: &mut impl Read) -> io::Result<String> {
-    let n = read_u32(r)? as usize;
-    let mut buf = vec![0u8; n];
-    r.read_exact(&mut buf)?;
-    String::from_utf8(buf).map_err(|_| bad("non-UTF-8 string in catalog manifest"))
+pub(crate) fn read_str(r: &mut &[u8]) -> io::Result<String> {
+    let n = checked_len(read_u32(r)?.into(), 1, r.len(), "string length")?;
+    let (bytes, rest) = r.split_at(n);
+    *r = rest;
+    String::from_utf8(bytes.to_vec()).map_err(|_| bad("non-UTF-8 string in catalog manifest"))
 }
 
 /// Writes `content` produced by `fill` to `<dir>/<name>` crash-safely:
@@ -439,7 +469,8 @@ pub(crate) struct Checkpoint {
 /// Reads the manifest and every per-doc image under `dir` (also
 /// sweeping stranded `*.tmp` files from an earlier torn save).
 pub(crate) fn read_checkpoint(dir: &Path) -> io::Result<Checkpoint> {
-    let mut manifest = std::io::BufReader::new(std::fs::File::open(dir.join("catalog.xvi"))?);
+    let manifest = std::fs::read(dir.join("catalog.xvi"))?;
+    let mut manifest = manifest.as_slice();
     sweep_tmp_files(dir)?;
     let mut magic = [0u8; 4];
     manifest.read_exact(&mut magic)?;
@@ -464,8 +495,8 @@ pub(crate) fn read_checkpoint(dir: &Path) -> io::Result<Checkpoint> {
         let xml = std::fs::read_to_string(dir.join(format!("doc{i}.xml")))?;
         let doc = Document::parse(&xml)
             .map_err(|e| bad(format!("catalog document {id:?} failed to parse: {e}")))?;
-        let image = std::io::BufReader::new(std::fs::File::open(dir.join(format!("doc{i}.idx")))?);
-        let idx = IndexManager::load_from(&doc, image)?;
+        let image = std::fs::read(dir.join(format!("doc{i}.idx")))?;
+        let idx = IndexManager::load_image(&doc, &image)?;
         docs.push((id, version, doc, idx));
     }
     let mut seqs = Vec::with_capacity(shards.min(1 << 16));
@@ -772,6 +803,59 @@ mod tests {
         // In-range values pass through unchanged.
         assert_eq!(checked_u32(0, "x").unwrap(), 0);
         assert_eq!(checked_u32(u32::MAX as usize, "x").unwrap(), u32::MAX);
+    }
+
+    fn corrupt_length_of(err: &io::Error) -> (&'static str, u64) {
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
+        match err.get_ref().and_then(|e| e.downcast_ref::<IndexError>()) {
+            Some(IndexError::CorruptLength { what, len }) => (what, *len),
+            other => panic!("expected a CorruptLength source, got {other:?}"),
+        }
+    }
+
+    /// Length and count fields are taken from file bytes: a corrupt
+    /// one must come back as a typed `InvalidData` error before
+    /// anything of that size is allocated (a `u64::MAX` entry count
+    /// would otherwise abort in the allocator).
+    #[test]
+    fn corrupt_length_fields_are_rejected_before_allocating() {
+        let (doc, idx) = setup();
+        let mut image = Vec::new();
+        idx.save_to(&doc, &mut image).unwrap();
+        // magic, node count, text bytes, root hash, config (3 flag
+        // bytes + 2 type tags), then the string-entry count.
+        let string_count = 4 + 8 + 8 + 4 + 3 + 2;
+        let n = u64::from_le_bytes(image[string_count..string_count + 8].try_into().unwrap());
+        let typed_count = string_count + 8 + 8 * n as usize;
+        for (at, what) in [
+            (string_count, "string index entries"),
+            (typed_count, "typed index entries"),
+        ] {
+            for bogus in [u64::MAX, (n + 1) << 40] {
+                let mut bad_image = image.clone();
+                bad_image[at..at + 8].copy_from_slice(&bogus.to_le_bytes());
+                let err = IndexManager::load_from(&doc, bad_image.as_slice()).unwrap_err();
+                assert_eq!(corrupt_length_of(&err).0, what);
+            }
+        }
+
+        let mut short: &[u8] = &[0xff, 0xff, 0xff, 0xff, b'a', b'b'];
+        let err = read_str(&mut short).unwrap_err();
+        assert_eq!(corrupt_length_of(&err), ("string length", u32::MAX as u64));
+
+        // The first document id's length field in a saved manifest.
+        let scratch = ScratchDir::new("catalog-corrupt-length");
+        let service = IndexService::new(ServiceConfig::default());
+        service.insert_document("alpha", Document::parse("<a>1</a>").unwrap());
+        service.save_catalog(&scratch.0).unwrap();
+        let manifest = scratch.0.join("catalog.xvi");
+        let mut bytes = std::fs::read(&manifest).unwrap();
+        let id_len = 4 + 4 + 4 + 4 + 3 + ServiceConfig::default().index.typed.len() + 4;
+        assert_eq!(&bytes[id_len..id_len + 4], &5u32.to_le_bytes());
+        bytes[id_len..id_len + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+        std::fs::write(&manifest, &bytes).unwrap();
+        let err = IndexService::load_catalog(&scratch.0).unwrap_err();
+        assert_eq!(corrupt_length_of(&err), ("string length", u32::MAX as u64));
     }
 
     #[test]

@@ -95,9 +95,13 @@ pub(crate) enum WalRecord {
     Remove { doc: String },
 }
 
-/// CRC-32 (IEEE 802.3 polynomial, reflected) — the frame checksum.
-const fn crc_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
+/// CRC-32 (IEEE 802.3 polynomial, reflected) — the frame checksum —
+/// as slice-by-8 tables: `CRC_TABLES[0]` is the classic byte-at-a-time
+/// table and `CRC_TABLES[k][b]` advances the checksum of byte `b` past
+/// `k` further zero bytes, so eight bytes fold in with eight lookups
+/// and no loop-carried dependency between them.
+const fn crc_tables() -> [[u32; 256]; 8] {
+    let mut tables = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut c = i as u32;
@@ -110,18 +114,51 @@ const fn crc_table() -> [u32; 256] {
             };
             k += 1;
         }
-        table[i] = c;
+        tables[0][i] = c;
         i += 1;
     }
-    table
+    let mut t = 1;
+    while t < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[t - 1][i];
+            tables[t][i] = (prev >> 8) ^ tables[0][(prev & 0xff) as usize];
+            i += 1;
+        }
+        t += 1;
+    }
+    tables
 }
 
-static CRC_TABLE: [u32; 256] = crc_table();
+static CRC_TABLES: [[u32; 256]; 8] = crc_tables();
+
+/// Extends `crc`, the CRC-32 of some bytes, to the CRC-32 of those
+/// bytes followed by `bytes`: `crc32_update(crc32(a), b) == crc32(a ++ b)`,
+/// so a frame split into parts is checksummed without joining them.
+pub(crate) fn crc32_update(crc: u32, bytes: &[u8]) -> u32 {
+    let t = &CRC_TABLES;
+    let mut c = !crc;
+    let mut words = bytes.chunks_exact(8);
+    for w in &mut words {
+        let lo = c ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
+        let hi = u32::from_le_bytes([w[4], w[5], w[6], w[7]]);
+        c = t[7][(lo & 0xff) as usize]
+            ^ t[6][((lo >> 8) & 0xff) as usize]
+            ^ t[5][((lo >> 16) & 0xff) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][(hi & 0xff) as usize]
+            ^ t[2][((hi >> 8) & 0xff) as usize]
+            ^ t[1][((hi >> 16) & 0xff) as usize]
+            ^ t[0][(hi >> 24) as usize];
+    }
+    for &b in words.remainder() {
+        c = (c >> 8) ^ t[0][((c ^ b as u32) & 0xff) as usize];
+    }
+    !c
+}
 
 pub(crate) fn crc32(bytes: &[u8]) -> u32 {
-    !bytes.iter().fold(!0u32, |c, &b| {
-        (c >> 8) ^ CRC_TABLE[((c ^ b as u32) & 0xff) as usize]
-    })
+    crc32_update(0, bytes)
 }
 
 /// Fsyncs a directory so a rename/creation inside it is durable.
@@ -309,14 +346,21 @@ impl ShardWal {
         }
     }
 
-    fn write_frame(&mut self, frame: &[u8]) -> io::Result<()> {
+    /// Writes one frame given as consecutive parts.
+    fn write_frame(&mut self, parts: [&[u8]; 2]) -> io::Result<()> {
         #[cfg(test)]
-        if let Some(cut) = self.fail_append_after.take() {
-            let cut = cut.min(frame.len());
-            self.file.write_all(&frame[..cut])?;
+        if let Some(mut cut) = self.fail_append_after.take() {
+            for part in parts {
+                let n = cut.min(part.len());
+                self.file.write_all(&part[..n])?;
+                cut -= n;
+            }
             return Err(io::Error::other("injected append fault"));
         }
-        self.file.write_all(frame)
+        for part in parts {
+            self.file.write_all(part)?;
+        }
+        Ok(())
     }
 
     /// A failed append may have left a torn frame past `self.len`.
@@ -339,34 +383,38 @@ impl ShardWal {
         }
     }
 
-    fn append_payload(&mut self, payload: &[u8]) -> io::Result<u64> {
+    /// Completes and appends the frame whose payload is the rest of
+    /// `head` (as started by [`ShardWal::frame_head`]) followed by
+    /// `tail`: fills in the length and the checksum, then writes both
+    /// parts as they are, so a large trailing field is never copied
+    /// into a frame buffer.
+    fn append_frame(&mut self, mut head: Vec<u8>, tail: &[u8]) -> io::Result<u64> {
         self.check_usable()?;
-        let mut frame = Vec::with_capacity(payload.len() + 8);
-        write_u32(
-            &mut frame,
-            crate::persist::checked_u32(payload.len(), "WAL payload length")?,
-        )?;
-        write_u32(&mut frame, crc32(payload))?;
-        frame.extend_from_slice(payload);
-        if let Err(e) = self.write_frame(&frame) {
+        let len = crate::persist::checked_u32(head.len() - 8 + tail.len(), "WAL payload length")?;
+        let crc = crc32_update(crc32(&head[8..]), tail);
+        head[0..4].copy_from_slice(&len.to_le_bytes());
+        head[4..8].copy_from_slice(&crc.to_le_bytes());
+        if let Err(e) = self.write_frame([&head, tail]) {
             self.rewind_torn_append(&e);
             return Err(e);
         }
         // Only now does the record exist: a failed append consumes
         // neither log space nor a sequence number.
-        self.len += frame.len() as u64;
+        self.len += (head.len() + tail.len()) as u64;
         self.seq += 1;
         Ok(self.seq)
     }
 
-    /// Starts a payload for the record that would carry the *next*
-    /// sequence number; [`ShardWal::append_payload`] claims the number
-    /// only once the frame is fully in the file.
-    fn payload_header(&self, tag: u8) -> io::Result<Vec<u8>> {
-        let mut payload = Vec::new();
-        write_u64(&mut payload, self.seq + 1)?;
-        payload.push(tag);
-        Ok(payload)
+    /// Starts a frame for the record that would carry the *next*
+    /// sequence number: room for the frame header, then the payload's
+    /// sequence number and tag. [`ShardWal::append_frame`] claims the
+    /// number only once the frame is fully in the file.
+    fn frame_head(&self, tag: u8) -> Vec<u8> {
+        let mut head = Vec::with_capacity(64);
+        head.extend_from_slice(&[0; 8]);
+        head.extend_from_slice(&(self.seq + 1).to_le_bytes());
+        head.push(tag);
+        head
     }
 
     /// Appends one coalesced commit batch (no fsync — call
@@ -378,7 +426,7 @@ impl ShardWal {
         publish_version: u64,
         writes: &[(NodeId, String)],
     ) -> io::Result<u64> {
-        let mut payload = self.payload_header(TAG_COMMIT)?;
+        let mut payload = self.frame_head(TAG_COMMIT);
         write_str(&mut payload, doc)?;
         write_u64(&mut payload, committed)?;
         write_u64(&mut payload, publish_version)?;
@@ -393,22 +441,27 @@ impl ShardWal {
             )?;
             write_str(&mut payload, value)?;
         }
-        self.append_payload(&payload)
+        self.append_frame(payload, &[])
     }
 
-    /// Appends a document-registration record.
+    /// Appends a document-registration record. The serialized
+    /// document goes to the file straight from `xml`: only the frame
+    /// header and the short fields before it are buffered.
     pub(crate) fn append_insert(&mut self, doc: &str, xml: &str) -> io::Result<u64> {
-        let mut payload = self.payload_header(TAG_INSERT)?;
-        write_str(&mut payload, doc)?;
-        write_str(&mut payload, xml)?;
-        self.append_payload(&payload)
+        let mut head = self.frame_head(TAG_INSERT);
+        write_str(&mut head, doc)?;
+        write_u32(
+            &mut head,
+            crate::persist::checked_u32(xml.len(), "string length")?,
+        )?;
+        self.append_frame(head, xml.as_bytes())
     }
 
     /// Appends a document-removal record.
     pub(crate) fn append_remove(&mut self, doc: &str) -> io::Result<u64> {
-        let mut payload = self.payload_header(TAG_REMOVE)?;
-        write_str(&mut payload, doc)?;
-        self.append_payload(&payload)
+        let mut head = self.frame_head(TAG_REMOVE);
+        write_str(&mut head, doc)?;
+        self.append_frame(head, &[])
     }
 
     /// The group fsync: one durable barrier per coalesced batch.
@@ -511,11 +564,64 @@ impl ShardWal {
 mod tests {
     use super::*;
 
+    use proptest::prelude::*;
+
     #[test]
     fn crc32_matches_known_vectors() {
         // Standard IEEE CRC-32 check value.
         assert_eq!(crc32(b"123456789"), 0xcbf4_3926);
         assert_eq!(crc32(b""), 0);
+    }
+
+    /// The textbook bit-serial CRC-32: no tables at all.
+    fn crc32_reference(bytes: &[u8]) -> u32 {
+        let mut c = !0u32;
+        for &b in bytes {
+            c ^= b as u32;
+            for _ in 0..8 {
+                c = if c & 1 != 0 {
+                    0xedb8_8320 ^ (c >> 1)
+                } else {
+                    c >> 1
+                };
+            }
+        }
+        !c
+    }
+
+    /// Every length through the word loop's remainder cases, and every
+    /// split point of each.
+    #[test]
+    fn crc32_matches_the_reference_at_every_short_length_and_split() {
+        let bytes: Vec<u8> = (0..=64u32).map(|i| (i * 151 + 7) as u8).collect();
+        for len in 0..=64 {
+            let data = &bytes[..len];
+            let whole = crc32(data);
+            assert_eq!(whole, crc32_reference(data), "length {len}");
+            for split in 0..=len {
+                let (a, b) = data.split_at(split);
+                assert_eq!(
+                    crc32_update(crc32(a), b),
+                    whole,
+                    "length {len}, split {split}"
+                );
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        #[test]
+        fn crc32_equals_the_reference_and_composes(
+            data in proptest::collection::vec(any::<u8>(), 0..2048),
+            split in any::<usize>(),
+        ) {
+            let whole = crc32(&data);
+            prop_assert_eq!(whole, crc32_reference(&data));
+            let (a, b) = data.split_at(split % (data.len() + 1));
+            prop_assert_eq!(crc32_update(crc32(a), b), whole);
+        }
     }
 
     fn scratch(tag: &str) -> PathBuf {
@@ -635,15 +741,26 @@ mod tests {
         wal.append_remove("before").unwrap();
         wal.sync().unwrap();
         let clean_len = std::fs::metadata(wal_path(&dir, 0)).unwrap().len();
-        for torn in 0..(clean_len as usize + 8) {
-            wal.fail_append_after = Some(torn);
-            let err = wal.append_remove("torn").unwrap_err();
-            assert_eq!(err.kind(), io::ErrorKind::Other, "cut at {torn}");
-            assert_eq!(
-                std::fs::metadata(wal_path(&dir, 0)).unwrap().len(),
-                clean_len,
-                "torn frame (cut at {torn}) must be physically gone"
-            );
+        // Insert frames are written as a buffered head plus the
+        // document bytes: cut them anywhere in either part too.
+        let xml = "<r>a document long enough to span many bytes</r>";
+        let insert_len = 8 + 8 + 1 + (4 + "doc".len()) + 4 + xml.len();
+        for (frame_len, insert) in [(clean_len as usize, false), (insert_len, true)] {
+            for torn in 0..frame_len + 8 {
+                wal.fail_append_after = Some(torn);
+                let err = if insert {
+                    wal.append_insert("doc", xml)
+                } else {
+                    wal.append_remove("torn")
+                }
+                .unwrap_err();
+                assert_eq!(err.kind(), io::ErrorKind::Other, "cut at {torn}");
+                assert_eq!(
+                    std::fs::metadata(wal_path(&dir, 0)).unwrap().len(),
+                    clean_len,
+                    "torn frame (cut at {torn}) must be physically gone"
+                );
+            }
         }
         assert_eq!(
             wal.seq, 1,
@@ -706,6 +823,25 @@ mod tests {
             "the record whose fsync failed must not be resurrected"
         );
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A checksummed frame whose string length field promises more
+    /// bytes than the payload holds decodes as a torn tail, without
+    /// allocating that length.
+    #[test]
+    fn corrupt_string_length_ends_the_valid_prefix() {
+        let mut payload = 1u64.to_le_bytes().to_vec();
+        payload.push(TAG_REMOVE);
+        payload.extend_from_slice(&u32::MAX.to_le_bytes());
+        payload.extend_from_slice(b"doc");
+        let err = decode(&payload).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        let mut frame = (payload.len() as u32).to_le_bytes().to_vec();
+        frame.extend_from_slice(&crc32(&payload).to_le_bytes());
+        frame.extend_from_slice(&payload);
+        let (frames, valid) = scan(&frame);
+        assert!(frames.is_empty());
+        assert_eq!(valid, 0);
     }
 
     #[test]

@@ -368,7 +368,8 @@ impl Document {
         self.data_mut(parent).last_child = child;
     }
 
-    /// Adds an attribute to element `parent`. Returns the new node.
+    /// Adds an attribute to element `parent`, or replaces the value of
+    /// the attribute of that name it already has. Returns the node.
     ///
     /// # Panics
     /// Panics if `parent` is not an element.
@@ -377,31 +378,50 @@ impl Document {
             matches!(self.kind(parent), NodeKind::Element(_)),
             "attributes can only be set on elements"
         );
-        // Replace in place if the attribute already exists.
-        if let Some(existing) = self.attribute(parent, name) {
-            if let NodeKind::Attribute { value: v, .. } = &mut self.data_mut(existing).kind {
-                *v = value.to_owned();
+        match self.add_attribute(parent, name, value.to_owned()) {
+            Ok(attr) => attr,
+            Err(existing) => {
+                if let NodeKind::Attribute { value: v, .. } = &mut self.data_mut(existing).kind {
+                    *v = value.to_owned();
+                }
+                existing
             }
-            return existing;
         }
+    }
+
+    /// Appends a new attribute `name` holding `value` at the tail of
+    /// `parent`'s attribute chain (keeping document order), or returns
+    /// `Err` with the attribute of that name `parent` already has. The
+    /// name is interned once and the chain walked once, comparing
+    /// `NameId`s.
+    pub(crate) fn add_attribute(
+        &mut self,
+        parent: NodeId,
+        name: &str,
+        value: String,
+    ) -> Result<NodeId, NodeId> {
         let name_id = self.intern(name);
+        let mut tail = NodeId::NONE;
+        let mut cur = self.data(parent).first_attr;
+        while let Some(a) = cur.get() {
+            if matches!(self.kind(a), NodeKind::Attribute { name: n, .. } if *n == name_id) {
+                return Err(a);
+            }
+            tail = a;
+            cur = self.data(a).next_sibling;
+        }
         let attr = self.alloc(NodeKind::Attribute {
             name: name_id,
-            value: value.to_owned(),
+            value,
         });
-        self.data_mut(attr).parent = parent;
-        // Append at the tail of the attribute chain to keep document order.
-        let mut tail = self.data(parent).first_attr;
-        if tail == NodeId::NONE {
-            self.data_mut(parent).first_attr = attr;
-        } else {
-            while let Some(next) = self.data(tail).next_sibling.get() {
-                tail = next;
-            }
-            self.data_mut(tail).next_sibling = attr;
-            self.data_mut(attr).prev_sibling = tail;
+        let a = self.data_mut(attr);
+        a.parent = parent;
+        a.prev_sibling = tail;
+        match tail.get() {
+            Some(t) => self.data_mut(t).next_sibling = attr,
+            None => self.data_mut(parent).first_attr = attr,
         }
-        attr
+        Ok(attr)
     }
 
     /// Convenience: create an element, append it, return its id.
@@ -413,7 +433,14 @@ impl Document {
 
     /// Convenience: create a text node, append it, return its id.
     pub fn append_text(&mut self, parent: NodeId, content: &str) -> NodeId {
-        let t = self.create_text(content);
+        self.append_owned_text(parent, content.to_owned())
+    }
+
+    /// [`Document::append_text`] taking ownership of the content, so a
+    /// caller that built it (the parser's pending text) hands it over
+    /// without a copy.
+    pub(crate) fn append_owned_text(&mut self, parent: NodeId, content: String) -> NodeId {
+        let t = self.alloc(NodeKind::Text(content));
         self.append_child(parent, t);
         t
     }

@@ -25,26 +25,31 @@ pub fn parse(input: &str) -> Result<Document, ParseError> {
 }
 
 struct Parser<'a> {
+    /// The input (minus any byte-order mark). Every slice taken from
+    /// it starts and ends next to an ASCII delimiter, so slicing never
+    /// splits a character and needs no UTF-8 re-validation.
+    input: &'a str,
     bytes: &'a [u8],
     pos: usize,
     doc: Document,
     /// Open element stack; the document node is the base.
     stack: Vec<NodeId>,
-    /// Pending character data, merged until the next non-text event.
+    /// Pending character data, merged until the next non-text event
+    /// and then moved (not copied) into the text node.
     text: String,
     seen_root: bool,
 }
 
 impl<'a> Parser<'a> {
     fn new(input: &'a str) -> Parser<'a> {
-        let bytes = input.strip_prefix('\u{feff}').unwrap_or(input).as_bytes();
-        let doc = Document::new();
+        let input = input.strip_prefix('\u{feff}').unwrap_or(input);
         Parser {
-            bytes,
+            input,
+            bytes: input.as_bytes(),
             pos: 0,
             stack: Vec::new(),
             text: String::new(),
-            doc,
+            doc: Document::new(),
             seen_root: false,
         }
     }
@@ -63,6 +68,33 @@ impl<'a> Parser<'a> {
 
     fn bump(&mut self, n: usize) {
         self.pos += n;
+    }
+
+    /// Advances to the next byte matching `stop` (or the end of input)
+    /// and returns the input passed over.
+    fn take_until(&mut self, stop: impl Fn(u8) -> bool) -> &'a str {
+        let start = self.pos;
+        self.pos = self.bytes[start..]
+            .iter()
+            .position(|&b| stop(b))
+            .map_or(self.bytes.len(), |n| start + n);
+        &self.input[start..self.pos]
+    }
+
+    /// Advances to the next occurrence of `end` and returns the input
+    /// passed over, or `None` (at end of input) if there is none.
+    fn take_until_str(&mut self, end: &str) -> Option<&'a str> {
+        let start = self.pos;
+        match self.input[start..].find(end) {
+            Some(n) => {
+                self.pos = start + n;
+                Some(&self.input[start..self.pos])
+            }
+            None => {
+                self.pos = self.bytes.len();
+                None
+            }
+        }
     }
 
     fn expect(&mut self, s: &str) -> Result<(), ParseError> {
@@ -118,15 +150,7 @@ impl<'a> Parser<'a> {
                     self.text.push(c);
                 }
                 _ => {
-                    let start = self.pos;
-                    while let Some(b) = self.peek() {
-                        if b == b'<' || b == b'&' {
-                            break;
-                        }
-                        self.bump(1);
-                    }
-                    let chunk = std::str::from_utf8(&self.bytes[start..self.pos])
-                        .map_err(|_| ParseError::new(start, "invalid UTF-8 in text"))?;
+                    let chunk = self.take_until(|b| b == b'<' || b == b'&');
                     self.text.push_str(chunk);
                 }
             }
@@ -150,7 +174,7 @@ impl<'a> Parser<'a> {
             return self.err("character data outside the root element");
         }
         let content = std::mem::take(&mut self.text);
-        self.doc.append_text(parent, &content);
+        self.doc.append_owned_text(parent, content);
         Ok(())
     }
 
@@ -170,22 +194,12 @@ impl<'a> Parser<'a> {
 
     fn comment(&mut self) -> Result<(), ParseError> {
         self.expect("<!--")?;
-        let start = self.pos;
-        loop {
-            if self.pos >= self.bytes.len() {
-                return self.err("unterminated comment");
-            }
-            if self.starts_with("-->") {
-                break;
-            }
-            self.bump(1);
-        }
-        let content = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| ParseError::new(start, "invalid UTF-8 in comment"))?
-            .to_owned();
+        let Some(content) = self.take_until_str("-->") else {
+            return self.err("unterminated comment");
+        };
         self.bump(3);
         let parent = *self.stack.last().expect("stack never empty");
-        let c = self.doc.create_comment(&content);
+        let c = self.doc.create_comment(content);
         self.doc.append_child(parent, c);
         Ok(())
     }
@@ -195,18 +209,9 @@ impl<'a> Parser<'a> {
             return self.err("CDATA outside the root element");
         }
         self.expect("<![CDATA[")?;
-        let start = self.pos;
-        loop {
-            if self.pos >= self.bytes.len() {
-                return self.err("unterminated CDATA section");
-            }
-            if self.starts_with("]]>") {
-                break;
-            }
-            self.bump(1);
-        }
-        let content = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| ParseError::new(start, "invalid UTF-8 in CDATA"))?;
+        let Some(content) = self.take_until_str("]]>") else {
+            return self.err("unterminated CDATA section");
+        };
         self.text.push_str(content);
         self.bump(3);
         Ok(())
@@ -232,25 +237,14 @@ impl<'a> Parser<'a> {
         self.expect("<?")?;
         let target = self.name()?;
         self.skip_ws();
-        let start = self.pos;
-        loop {
-            if self.pos >= self.bytes.len() {
-                return self.err("unterminated processing instruction");
-            }
-            if self.starts_with("?>") {
-                break;
-            }
-            self.bump(1);
-        }
-        let data = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| ParseError::new(start, "invalid UTF-8 in PI"))?
-            .trim_end()
-            .to_owned();
+        let Some(data) = self.take_until_str("?>") else {
+            return self.err("unterminated processing instruction");
+        };
         self.bump(2);
         // The XML declaration is not a node in the data model.
         if !target.eq_ignore_ascii_case("xml") {
             let parent = *self.stack.last().expect("stack never empty");
-            let pi = self.doc.create_pi(&target, &data);
+            let pi = self.doc.create_pi(target, data.trim_end());
             self.doc.append_child(parent, pi);
         }
         Ok(())
@@ -266,7 +260,7 @@ impl<'a> Parser<'a> {
             }
             self.seen_root = true;
         }
-        let element = self.doc.append_element(parent, &name);
+        let element = self.doc.append_element(parent, name);
 
         loop {
             self.skip_ws();
@@ -287,10 +281,9 @@ impl<'a> Parser<'a> {
                     self.expect("=")?;
                     self.skip_ws();
                     let value = self.attr_value()?;
-                    if self.doc.attribute(element, &attr_name).is_some() {
+                    if self.doc.add_attribute(element, attr_name, value).is_err() {
                         return self.err(format!("duplicate attribute `{attr_name}`"));
                     }
-                    self.doc.set_attribute(element, &attr_name, &value);
                 }
             }
         }
@@ -314,26 +307,19 @@ impl<'a> Parser<'a> {
         Ok(())
     }
 
-    fn name(&mut self) -> Result<String, ParseError> {
+    fn name(&mut self) -> Result<&'a str, ParseError> {
         let start = self.pos;
-        while let Some(b) = self.peek() {
-            let is_name_byte =
-                b.is_ascii_alphanumeric() || matches!(b, b'_' | b'-' | b'.' | b':') || b >= 0x80;
-            if !is_name_byte {
-                break;
-            }
-            self.bump(1);
-        }
-        if self.pos == start {
+        let name = self.take_until(|b| {
+            !(b.is_ascii_alphanumeric() || matches!(b, b'_' | b'-' | b'.' | b':') || b >= 0x80)
+        });
+        if name.is_empty() {
             return self.err("expected a name");
         }
         let first = self.bytes[start];
         if first.is_ascii_digit() || first == b'-' || first == b'.' {
             return Err(ParseError::new(start, "names cannot start with a digit"));
         }
-        std::str::from_utf8(&self.bytes[start..self.pos])
-            .map(|s| s.to_owned())
-            .map_err(|_| ParseError::new(start, "invalid UTF-8 in name"))
+        Ok(name)
     }
 
     fn attr_value(&mut self) -> Result<String, ParseError> {
@@ -352,18 +338,7 @@ impl<'a> Parser<'a> {
                 }
                 Some(b'<') => return self.err("`<` is not allowed in attribute values"),
                 Some(b'&') => out.push(self.reference()?),
-                Some(_) => {
-                    let start = self.pos;
-                    while let Some(b) = self.peek() {
-                        if b == quote || b == b'&' || b == b'<' {
-                            break;
-                        }
-                        self.bump(1);
-                    }
-                    let chunk = std::str::from_utf8(&self.bytes[start..self.pos])
-                        .map_err(|_| ParseError::new(start, "invalid UTF-8 in attribute"))?;
-                    out.push_str(chunk);
-                }
+                Some(_) => out.push_str(self.take_until(|b| b == quote || b == b'&' || b == b'<')),
             }
         }
     }
@@ -384,8 +359,7 @@ impl<'a> Parser<'a> {
         if self.peek() != Some(b';') {
             return Err(ParseError::new(start, "unterminated entity reference"));
         }
-        let body = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| ParseError::new(start, "invalid UTF-8 in entity"))?;
+        let body = &self.input[start..self.pos];
         self.bump(1); // the `;`
         let c = match body {
             "amp" => '&',
@@ -568,6 +542,46 @@ mod tests {
     fn rejects_duplicate_attributes() {
         let e = parse(r#"<a x="1" x="2"/>"#).unwrap_err();
         assert!(e.message.contains("duplicate attribute"), "{e}");
+    }
+
+    /// Duplicates are detected by name once the value, entities and
+    /// all, has been decoded; the error points just past that value.
+    #[test]
+    fn rejects_duplicate_attribute_after_entity_decoding() {
+        let input = r#"<a x="&amp;" y="&#49;" x="&lt;&#x42;"/>"#;
+        let e = parse(input).unwrap_err();
+        assert_eq!(e.message, "duplicate attribute `x`");
+        assert_eq!(e.offset, input.len() - "/>".len());
+        // Equal decoded values under different names are fine.
+        let d = parse(r#"<a x="&#65;" y="A"/>"#).unwrap();
+        let a = d.root_element().unwrap();
+        assert_eq!(d.attribute_value(a, "x"), d.attribute_value(a, "y"));
+    }
+
+    #[test]
+    fn elements_with_many_attributes_keep_order_and_reject_duplicates() {
+        let attrs: String = (0..12).map(|i| format!(" a{i}=\"v{i}\"")).collect();
+        let d = parse(&format!("<e{attrs}><f{attrs}/></e>")).unwrap();
+        let e = d.root_element().unwrap();
+        for el in [e, d.first_child(e).unwrap()] {
+            let got: Vec<(&str, &str)> = d
+                .attributes(el)
+                .map(|a| (d.name(a).unwrap(), d.direct_value(a).unwrap()))
+                .collect();
+            let want: Vec<(String, String)> = (0..12)
+                .map(|i| (format!("a{i}"), format!("v{i}")))
+                .collect();
+            let want: Vec<(&str, &str)> =
+                want.iter().map(|(n, v)| (n.as_str(), v.as_str())).collect();
+            assert_eq!(got, want);
+            assert!(d.attributes(el).all(|a| d.parent(a) == Some(el)));
+        }
+        for dup in [0, 7, 8, 11] {
+            let input = format!("<e{attrs} a{dup}='again'/>");
+            let e = parse(&input).unwrap_err();
+            assert_eq!(e.message, format!("duplicate attribute `a{dup}`"));
+            assert_eq!(e.offset, input.len() - "/>".len());
+        }
     }
 
     #[test]
