@@ -142,6 +142,19 @@ impl<T> PagedVec<T> {
     pub fn iter(&self) -> impl Iterator<Item = &T> {
         self.pages.iter().flat_map(|p| p.slots.iter())
     }
+
+    /// Appends `items` as whole fresh pages. The last page must be
+    /// full (or absent), so no existing page is written.
+    fn extend_pages(&mut self, items: impl Iterator<Item = T>) {
+        debug_assert!(self.len.is_multiple_of(PAGE_SIZE), "last page is full");
+        let mut items = items.peekable();
+        while items.peek().is_some() {
+            let mut slots = Vec::with_capacity(PAGE_SIZE);
+            slots.extend(items.by_ref().take(PAGE_SIZE));
+            self.len += slots.len();
+            self.pages.push(Arc::new(Page { slots }));
+        }
+    }
 }
 
 impl<T: Clone> PagedVec<T> {
@@ -216,9 +229,10 @@ impl<T: Clone> PagedVec<T> {
     }
 
     /// Grows or shrinks to `new_len` slots, filling new slots with
-    /// clones of `value`. Shrinking drops whole doomed pages without
-    /// detaching them — only the surviving boundary page is copied if
-    /// it is shared.
+    /// clones of `value`. Growing tops up the last page (detaching it
+    /// once if it is shared) and then appends whole fresh pages.
+    /// Shrinking drops whole doomed pages without detaching them —
+    /// only the surviving boundary page is copied if it is shared.
     pub fn resize(&mut self, new_len: usize, value: T) {
         if new_len < self.len {
             self.pages.truncate(new_len.div_ceil(PAGE_SIZE));
@@ -230,9 +244,23 @@ impl<T: Clone> PagedVec<T> {
                 let last = self.pages.last_mut().expect("tail implies a page");
                 Arc::make_mut(last).slots.truncate(tail);
             }
+            return;
         }
-        while self.len < new_len {
-            self.push(value.clone());
+        if new_len == self.len {
+            return;
+        }
+        let partial = self.len % PAGE_SIZE;
+        if partial != 0 {
+            let fill = (PAGE_SIZE - partial).min(new_len - self.len);
+            self.note_detach(self.pages.len() - 1);
+            let last = self.pages.last_mut().expect("partial page exists");
+            Arc::make_mut(last)
+                .slots
+                .resize(partial + fill, value.clone());
+            self.len += fill;
+        }
+        if self.len < new_len {
+            self.extend_pages(std::iter::repeat_n(value, new_len - self.len));
         }
     }
 
@@ -319,6 +347,16 @@ impl<T> std::ops::Deref for ColVec<T> {
 
     fn deref(&self) -> &[T] {
         &self.0
+    }
+}
+
+/// Builds a container page by page: each run of [`PAGE_SIZE`] items
+/// becomes one fresh page, with no per-slot copy-on-write check.
+impl<T> FromIterator<T> for PagedVec<T> {
+    fn from_iter<I: IntoIterator<Item = T>>(iter: I) -> Self {
+        let mut v = PagedVec::new();
+        v.extend_pages(iter.into_iter());
+        v
     }
 }
 
@@ -456,6 +494,66 @@ mod tests {
         w.resize(PAGE_SIZE, 0);
         assert_eq!(w.page_count(), 1);
         assert_eq!(w.shared_pages(), 1);
+    }
+
+    /// Whole pages, none detached, and a clone shares every page.
+    fn assert_packed(v: &PagedVec<usize>) {
+        assert_eq!(v.page_count(), v.len().div_ceil(PAGE_SIZE));
+        assert_eq!(v.pages_detached(), 0);
+        let c = v.clone();
+        assert_eq!(c.shared_pages(), c.page_count());
+        assert_eq!(v.shared_pages(), v.page_count());
+    }
+
+    #[test]
+    fn resize_and_from_iter_fill_whole_pages() {
+        for len in [
+            0,
+            1,
+            PAGE_SIZE - 1,
+            PAGE_SIZE,
+            PAGE_SIZE + 1,
+            5 * PAGE_SIZE + 7,
+        ] {
+            let v: PagedVec<usize> = (0..len).collect();
+            assert_packed(&v);
+            assert_eq!(
+                v.iter().copied().collect::<Vec<_>>(),
+                (0..len).collect::<Vec<_>>()
+            );
+
+            let mut w = PagedVec::new();
+            w.resize(len, 9);
+            assert_packed(&w);
+            assert!(w.iter().all(|&x| x == 9) && w.len() == len);
+
+            // Topping up a partial page, then whole pages.
+            let mut u = filled(3);
+            u.resize(3 + len, 9);
+            assert_packed(&u);
+            assert_eq!(u.len(), 3 + len);
+            assert_eq!(&u.iter().copied().collect::<Vec<_>>()[..3], &[0, 1, 2]);
+            assert!(u.iter().skip(3).all(|&x| x == 9));
+
+            // One more slot, then a no-op resize.
+            u.resize(4 + len, 8);
+            u.resize(4 + len, 7);
+            assert_eq!(u.page_count(), (4 + len).div_ceil(PAGE_SIZE));
+            assert_eq!(u[3 + len], 8);
+        }
+    }
+
+    #[test]
+    fn growing_a_shared_partial_page_detaches_it_once() {
+        let mut v = filled(PAGE_SIZE + 3);
+        let snap = v.clone();
+        v.resize(4 * PAGE_SIZE, 7);
+        assert_eq!(v.pages_detached(), 1, "only the partial page is copied");
+        assert_eq!(v.shared_pages(), 1, "the full first page stays shared");
+        assert_eq!(snap.len(), PAGE_SIZE + 3);
+        assert_eq!(snap.get(PAGE_SIZE + 3), None);
+        assert_eq!(v[PAGE_SIZE + 3], 7);
+        assert_eq!(v.page_count(), 4);
     }
 
     #[test]

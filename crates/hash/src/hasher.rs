@@ -8,6 +8,10 @@
 //! land on distinct, interleaved positions — this is what keeps
 //! collisions low for typical text (see the paper's Figure 11 and the
 //! [`crate::collisions`] module).
+//!
+//! [`hash_bytes`] evaluates `H` a block of 27 characters at a time (the
+//! block kernel described in the crate docs); the character loop of
+//! Figure 2 is kept in this module's tests as the oracle.
 
 use crate::{HashValue, C_ARRAY_BITS};
 
@@ -35,32 +39,132 @@ pub fn hash_str(s: &str) -> HashValue {
 ///
 /// This is the workhorse behind [`hash_str`]; it is public because the
 /// XML store hands out string values as byte slices during shredding.
+///
+/// Computes the same value as the byte-at-a-time loop of Figure 2 with
+/// a block kernel (see the crate docs): whole 27-byte blocks are
+/// XOR-ed in with constant shifts, the tail as one zero-padded block,
+/// and the final offset is `5·len mod 27`.
 pub fn hash_bytes(bytes: &[u8]) -> HashValue {
-    let mut acc: u32 = 0; // c-array accumulator, LSB-aligned; bits >= 27 are junk
-    let mut offset: u32 = 0;
-    for &b in bytes {
-        let c = u32::from(b & 127);
-        // XOR the 7 bits of the character at the current offset. For
-        // offsets > 20 the character straddles the end of the 27-bit
-        // circle: the overflowing high bits wrap to the low positions.
-        acc ^= c << offset;
-        if offset > 20 {
-            acc ^= c >> (C_ARRAY_BITS - offset);
-        }
-        offset += 5;
-        if offset > 26 {
-            offset -= 27;
-        }
+    // Bits 27.. of the accumulator hold the parts of characters that
+    // straddle the end of the circle; they are folded back at the end.
+    let mut acc: u64 = 0;
+    let mut blocks = bytes.chunks_exact(BLOCK);
+    for block in &mut blocks {
+        acc ^= xor_block(block.try_into().expect("chunks_exact yields whole blocks"));
     }
-    // The paper's final `hval <<= 5` on a 32-bit word silently discards
-    // the junk accumulated above bit 26; masking achieves the same.
-    HashValue::from_parts(acc & C_ARRAY_LOW_MASK, offset)
+    let tail = blocks.remainder();
+    if !tail.is_empty() {
+        let mut padded = [0u8; BLOCK];
+        padded[..tail.len()].copy_from_slice(tail);
+        acc ^= xor_block(&padded);
+    }
+    let c_array = (acc ^ (acc >> C_ARRAY_BITS)) as u32 & C_ARRAY_LOW_MASK;
+    let offset = (bytes.len() % BLOCK) as u32 * 5 % C_ARRAY_BITS;
+    HashValue::from_parts(c_array, offset)
+}
+
+/// Characters per block: after `k` characters the write offset is
+/// `5k mod 27`, so every run of 27 characters starts at offset 0.
+const BLOCK: usize = C_ARRAY_BITS as usize;
+
+/// The write offset of the `k`-th character of a block.
+const SHIFTS: [u32; BLOCK] = {
+    let mut shifts = [0u32; BLOCK];
+    let mut k = 0;
+    while k < BLOCK {
+        shifts[k] = (5 * k % BLOCK) as u32;
+        k += 1;
+    }
+    shifts
+};
+
+/// XORs the 7 low bits of each character of one block in at its
+/// offset, without wrapping: bit `27 + j` stands for circle bit `j`.
+#[inline(always)]
+fn xor_block(block: &[u8; BLOCK]) -> u64 {
+    let mut acc = 0u64;
+    for k in 0..BLOCK {
+        acc ^= u64::from(block[k] & 127) << SHIFTS[k];
+    }
+    acc
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::combine;
+
+    /// The byte-at-a-time loop of the paper's Figure 2: the oracle the
+    /// block kernel must match bit for bit.
+    fn hash_bytes_fig2(bytes: &[u8]) -> HashValue {
+        let mut acc: u32 = 0; // bits >= 27 are junk
+        let mut offset: u32 = 0;
+        for &b in bytes {
+            let c = u32::from(b & 127);
+            // Characters at offsets > 20 straddle the end of the
+            // circle: their overflowing high bits wrap to the low end.
+            acc ^= c << offset;
+            if offset > 20 {
+                acc ^= c >> (C_ARRAY_BITS - offset);
+            }
+            offset += 5;
+            if offset > 26 {
+                offset -= 27;
+            }
+        }
+        // The paper's final `hval <<= 5` discards the junk bits.
+        HashValue::from_parts(acc & C_ARRAY_LOW_MASK, offset)
+    }
+
+    /// xorshift64: deterministic bytes covering the full 0..=255 range.
+    fn random_bytes(seed: u64, len: usize) -> Vec<u8> {
+        let mut x = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1;
+        (0..len)
+            .map(|_| {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                (x >> 24) as u8
+            })
+            .collect()
+    }
+
+    #[test]
+    fn block_kernel_matches_the_figure2_loop() {
+        for len in 0..=300usize {
+            for seed in 0..8u64 {
+                let bytes = random_bytes(seed * 1000 + len as u64, len);
+                assert_eq!(
+                    hash_bytes(&bytes),
+                    hash_bytes_fig2(&bytes),
+                    "length {len}, seed {seed}"
+                );
+            }
+        }
+        // Constant fills, including bytes with bit 7 set, which must
+        // contribute only their 7 low bits.
+        for len in 0..=300usize {
+            for fill in [0x7fu8, 0x80, 0xff] {
+                let bytes = vec![fill; len];
+                assert_eq!(
+                    hash_bytes(&bytes),
+                    hash_bytes_fig2(&bytes),
+                    "{len}x{fill:#x}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn block_kernel_matches_on_unaligned_subslices() {
+        let bytes = random_bytes(42, 4096);
+        for start in 0..64 {
+            for end in (start..bytes.len()).step_by(97) {
+                let s = &bytes[start..end];
+                assert_eq!(hash_bytes(s), hash_bytes_fig2(s), "{start}..{end}");
+            }
+        }
+    }
 
     /// Paper Figure 3: the worked example `H("Arthur")`.
     ///

@@ -25,6 +25,20 @@
 //! [`HashValue::EMPTY`] (= `H("")`); associativity and the homomorphism
 //! property are exercised by the property tests in this crate.
 //!
+//! ## The block kernel
+//!
+//! The write offset after `k` characters is `5k mod 27`, so it has
+//! period 27: every run of 27 characters starts again at offset 0 and
+//! character `k` of a run always lands at offset `5k mod 27`.
+//! [`hash_bytes`] therefore XORs whole 27-byte blocks into a 64-bit
+//! accumulator with 27 constant shifts (no offset bookkeeping, no
+//! branch), hashes the tail as one block padded with zero bytes — a
+//! zero byte XORs nothing in, so the padding contributes nothing — and
+//! sets the final offset to `5·len mod 27`. Bits that overflow the
+//! 27-bit circle collect above bit 26 and are folded back onto the low
+//! positions once, at the end. The result is bit-identical to the
+//! character loop of Figure 2.
+//!
 //! The [`collisions`] module provides the histogram machinery used to
 //! reproduce the paper's hash-stability experiment (Figure 11).
 

@@ -83,4 +83,28 @@ proptest! {
         t.push(b);
         prop_assert_ne!(hash_bytes(&s).offset(), hash_bytes(&t).offset());
     }
+
+    /// Splits on and next to the 27-byte block boundaries of the hash
+    /// kernel (26, 27, 28, 54, 55) recombine to the hash of the whole,
+    /// for inputs with bytes >= 0x80.
+    #[test]
+    fn block_boundary_splits_recombine(s in proptest::collection::vec(any::<u8>(), 0..140)) {
+        let whole = hash_bytes(&s);
+        let mut cuts: Vec<usize> = [26usize, 27, 28, 54, 55]
+            .into_iter()
+            .filter(|&c| c <= s.len())
+            .collect();
+        cuts.push(s.len());
+        let mut start = 0;
+        let mut acc = HashValue::EMPTY;
+        for &cut in &cuts {
+            acc = combine(acc, hash_bytes(&s[start..cut]));
+            start = cut;
+        }
+        prop_assert_eq!(acc, whole);
+        for &cut in &cuts {
+            let (l, r) = s.split_at(cut);
+            prop_assert_eq!(combine(hash_bytes(l), hash_bytes(r)), whole);
+        }
+    }
 }

@@ -22,29 +22,29 @@ use xvi_xml::{cursor::dfs_events, DfsEvent, Document, NodeId, NodeKind};
 use crate::string_index::StringIndex;
 use crate::typed_index::TypedIndex;
 
-/// Accumulator for one open element (or the document node): the hash
-/// and per-type state of the concatenation of the text content seen so
-/// far.
-struct Frame {
-    hash: HashValue,
-    states: Vec<Option<StateId>>,
-}
-
 /// Indexes the subtree rooted at `root` (inclusive), filling the
 /// string index and every typed index in one pass. Ancestors of
 /// `root` are *not* touched — the caller recombines them when `root`
 /// is not the document node (subtree insertion).
+///
+/// Each open element (or the document node) accumulates the hash and
+/// the per-type states of the concatenation of the text content seen
+/// so far. The frames live on two flat stacks — one hash per frame and
+/// `typed.len()` states per frame — so opening an element allocates
+/// nothing.
 pub(crate) fn index_subtree(
     doc: &Document,
     root: NodeId,
     mut string: Option<&mut StringIndex>,
     typed: &mut [TypedIndex],
 ) {
+    let k = typed.len();
     let identity_states: Vec<Option<StateId>> = typed
         .iter()
         .map(|t| Some(t.analyzer().sct().identity()))
         .collect();
-    let mut stack: Vec<Frame> = Vec::new();
+    let mut hashes: Vec<HashValue> = Vec::new();
+    let mut states: Vec<Option<StateId>> = Vec::new();
 
     for event in dfs_events(doc, root) {
         match event {
@@ -54,9 +54,10 @@ pub(crate) fn index_subtree(
                     if let Some(s) = string.as_deref_mut() {
                         s.set(node, h);
                     }
-                    if let Some(top) = stack.last_mut() {
-                        top.hash = combine(top.hash, h);
+                    if let Some(top) = hashes.last_mut() {
+                        *top = combine(*top, h);
                     }
+                    let top = states.len().saturating_sub(k);
                     for (i, idx) in typed.iter_mut().enumerate() {
                         let an = idx.analyzer();
                         let state = an.state_of(t);
@@ -65,8 +66,8 @@ pub(crate) fn index_subtree(
                             .and_then(|_| an.cast(t))
                             .map(|v| v.key);
                         idx.set(node, state, value);
-                        if let Some(top) = stack.last_mut() {
-                            top.states[i] = an.combine(top.states[i], state);
+                        if !hashes.is_empty() {
+                            states[top + i] = an.combine(states[top + i], state);
                         }
                     }
                 }
@@ -88,10 +89,8 @@ pub(crate) fn index_subtree(
                             }
                         }
                     }
-                    stack.push(Frame {
-                        hash: HashValue::EMPTY,
-                        states: identity_states.clone(),
-                    });
+                    hashes.push(HashValue::EMPTY);
+                    states.extend_from_slice(&identity_states);
                 }
                 // Comments/PIs carry values but are outside the paper's
                 // index coverage (text/element/attribute) and outside
@@ -103,13 +102,14 @@ pub(crate) fn index_subtree(
             },
             DfsEvent::Leave(node) => match doc.kind(node) {
                 NodeKind::Element(_) | NodeKind::Document => {
-                    let frame = stack.pop().expect("leave matches enter");
+                    let hash = hashes.pop().expect("leave matches enter");
+                    let top = states.len() - k;
                     if let Some(s) = string.as_deref_mut() {
-                        s.set(node, frame.hash);
+                        s.set(node, hash);
                     }
                     for (i, idx) in typed.iter_mut().enumerate() {
                         let an = idx.analyzer();
-                        let state = frame.states[i];
+                        let state = states[top + i];
                         // Complete intermediate nodes are rare (paper
                         // Table 1's "non-leaf" column), so materialising
                         // their string value here costs next to nothing.
@@ -119,16 +119,19 @@ pub(crate) fn index_subtree(
                             .map(|v| v.key);
                         idx.set(node, state, value);
                     }
-                    if let Some(top) = stack.last_mut() {
-                        top.hash = combine(top.hash, frame.hash);
+                    if let Some(parent) = hashes.last_mut() {
+                        *parent = combine(*parent, hash);
+                        let (rest, frame) = states.split_at_mut(top);
+                        let parent_states = &mut rest[top - k..];
                         for (i, idx) in typed.iter().enumerate() {
-                            top.states[i] = idx.analyzer().combine(top.states[i], frame.states[i]);
+                            parent_states[i] = idx.analyzer().combine(parent_states[i], frame[i]);
                         }
                     }
+                    states.truncate(top);
                 }
                 _ => {}
             },
         }
     }
-    debug_assert!(stack.is_empty(), "every frame is popped");
+    debug_assert!(hashes.is_empty(), "every frame is popped");
 }

@@ -51,43 +51,40 @@ pub struct IndexManager {
 impl IndexManager {
     /// Builds all configured indices in a single depth-first pass.
     pub fn build(doc: &Document, config: IndexConfig) -> IndexManager {
-        let mut string = config
-            .string_index
-            .then(|| StringIndex::new(doc.arena_size()));
-        let mut typed: Vec<TypedIndex> = config.typed.iter().map(|&t| TypedIndex::new(t)).collect();
         // Creation is append-only, so the B+trees are bulk-loaded from
         // sorted entry runs instead of filled by random inserts.
-        if let Some(s) = string.as_mut() {
-            s.begin_bulk();
-        }
-        for t in typed.iter_mut() {
-            t.begin_bulk();
-        }
-        index_subtree(doc, doc.document_node(), string.as_mut(), &mut typed);
-        if let Some(s) = string.as_mut() {
+        let mut mgr = IndexManager::new_empty(doc, config);
+        index_subtree(
+            doc,
+            doc.document_node(),
+            mgr.string.as_mut(),
+            &mut mgr.typed,
+        );
+        if let Some(s) = mgr.string.as_mut() {
             s.finish_bulk();
         }
-        for t in typed.iter_mut() {
+        for t in mgr.typed.iter_mut() {
             t.finish_bulk();
         }
-        let substring = config.substring_index.then(|| SubstringIndex::build(doc));
-        IndexManager {
-            config,
-            string,
-            typed,
-            substring,
+        if mgr.config.substring_index {
+            mgr.substring = Some(SubstringIndex::build(doc));
         }
+        mgr
     }
 
     /// Creates an index shell with the given configuration but no
-    /// computed entries — used by the persistence loader, which then
-    /// fills the structures by bulk load.
+    /// computed entries, every index in bulk-creation mode: `build`
+    /// and the persistence loader fill it and finish the bulk load.
     pub(crate) fn new_empty(doc: &Document, config: IndexConfig) -> IndexManager {
+        let mut typed: Vec<TypedIndex> = config.typed.iter().map(|&t| TypedIndex::new(t)).collect();
+        for t in typed.iter_mut() {
+            t.begin_bulk();
+        }
         IndexManager {
             string: config
                 .string_index
-                .then(|| StringIndex::new(doc.arena_size())),
-            typed: config.typed.iter().map(|&t| TypedIndex::new(t)).collect(),
+                .then(|| StringIndex::for_bulk(doc.arena_size())),
+            typed,
             substring: None,
             config,
         }

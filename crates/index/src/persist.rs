@@ -26,7 +26,7 @@ use std::path::Path;
 
 use xvi_fsm::XmlType;
 use xvi_hash::HashValue;
-use xvi_xml::{Document, NodeId};
+use xvi_xml::{Document, NodeId, NodeKind};
 
 use crate::config::IndexConfig;
 use crate::error::IndexError;
@@ -273,9 +273,17 @@ impl IndexManager {
         // The strongest cheap staleness check: the document node's hash
         // covers every text byte of the document, so any value change
         // since `save_to` is detected. Recomputing it costs one pass
-        // over the character data — far less than a full re-index.
+        // over the character data — far less than a full re-index —
+        // and, by H(a ⧺ b) = C(H(a), H(b)), needs no copy of it: the
+        // text nodes' hashes are folded in document order.
         if string_index {
-            let current = xvi_hash::hash_str(&doc.string_value(doc.document_node()));
+            let current = doc
+                .descendants(doc.document_node())
+                .filter_map(|n| match doc.kind(n) {
+                    NodeKind::Text(t) => Some(xvi_hash::hash_str(t)),
+                    _ => None,
+                })
+                .fold(HashValue::EMPTY, xvi_hash::combine);
             if current.raw() != image_root_hash {
                 return Err(bad("root hash mismatch: stale index image"));
             }
@@ -656,6 +664,41 @@ mod tests {
             let err = IndexManager::load_from(&doc, image.as_slice()).unwrap_err();
             assert!(err.to_string().contains("stale"), "{err}");
         }
+    }
+
+    #[test]
+    fn rejects_images_after_a_one_byte_text_change() {
+        let (doc, idx) = setup();
+        let mut image = Vec::new();
+        idx.save_to(&doc, &mut image).unwrap();
+        let texts: Vec<NodeId> = doc
+            .descendants(doc.document_node())
+            .filter(|&n| matches!(doc.kind(n), xvi_xml::NodeKind::Text(_)))
+            .collect();
+        let (first, last) = (texts[0], texts[texts.len() - 1]);
+        let mut checked = 0;
+        for text in [first, texts[texts.len() / 2], last] {
+            let value = doc.string_value(text);
+            // Every byte position of the value, so both block-aligned
+            // and tail bytes of the hash kernel are covered.
+            for at in 0..value.len().min(60) {
+                if !value.is_char_boundary(at) || !value.is_char_boundary(at + 1) {
+                    continue;
+                }
+                let mut bytes = value.clone().into_bytes();
+                bytes[at] = if bytes[at] == b'x' { b'y' } else { b'x' };
+                let changed = String::from_utf8(bytes).unwrap();
+                let mut stale = doc.clone();
+                stale.set_value(text, &changed);
+                assert_eq!(stale.stats(), doc.stats(), "same fingerprint counts");
+                let err = IndexManager::load_from(&stale, image.as_slice()).unwrap_err();
+                assert!(err.to_string().contains("stale"), "{err}");
+                checked += 1;
+            }
+        }
+        assert!(checked > 0);
+        // The unchanged document still loads.
+        IndexManager::load_from(&doc, image.as_slice()).unwrap();
     }
 
     #[test]

@@ -175,36 +175,35 @@ impl EquiHistogram {
     }
 
     /// Rebuilds from the hash components of a `(hash, node)`-sorted
-    /// entry run (the bulk-load input).
+    /// entry run (the bulk-load input). Counts into plain arrays and
+    /// bulk-loads the heavy-hitter table from the already-sorted runs.
     pub(crate) fn rebuild_from_sorted(&mut self, hashes: impl IntoIterator<Item = u32>) {
-        *self = EquiHistogram::default();
-        self.ensure_buckets();
-        let mut run: Option<(u32, u32)> = None;
-        for raw in hashes {
-            match &mut run {
-                Some((cur, n)) if *cur == raw => *n += 1,
-                _ => {
-                    if let Some((cur, n)) = run.take() {
-                        self.close_run(cur, n);
-                    }
-                    run = Some((raw, 1));
-                }
+        let mut entries = vec![0u32; Self::BUCKETS];
+        let mut distinct = vec![0u32; Self::BUCKETS];
+        let mut heavy: Vec<(u32, u32)> = Vec::new();
+        let (mut total, mut distinct_total) = (0u64, 0u64);
+        let mut hashes = hashes.into_iter().peekable();
+        while let Some(raw) = hashes.next() {
+            let mut n = 1u32;
+            while hashes.next_if_eq(&raw).is_some() {
+                n += 1;
+            }
+            let b = Self::bucket(raw);
+            entries[b] += n;
+            distinct[b] += 1;
+            total += u64::from(n);
+            distinct_total += 1;
+            if n >= Self::HEAVY_MIN {
+                heavy.push((raw, n));
             }
         }
-        if let Some((cur, n)) = run {
-            self.close_run(cur, n);
-        }
-    }
-
-    fn close_run(&mut self, raw: u32, n: u32) {
-        let b = Self::bucket(raw);
-        self.entries[b] += n;
-        self.distinct[b] += 1;
-        self.total += u64::from(n);
-        self.distinct_total += 1;
-        if n >= Self::HEAVY_MIN {
-            self.heavy.insert(raw, n);
-        }
+        *self = EquiHistogram {
+            entries: entries.into_iter().collect(),
+            distinct: distinct.into_iter().collect(),
+            heavy: BPlusTree::from_sorted_iter(heavy),
+            total,
+            distinct_total,
+        };
     }
 
     /// The exact multiplicity of `raw`, if it is a tracked heavy
@@ -749,6 +748,77 @@ mod tests {
         assert_eq!(h.estimate_equi(5), CardinalityEstimate::exact(9));
         let nine = h.estimate_equi(9);
         assert!(nine.lower <= 2 && 2 <= nine.upper);
+    }
+
+    /// Asserts that two histograms hold the same counts and heavy table.
+    fn assert_equi_eq(a: &EquiHistogram, b: &EquiHistogram, case: usize) {
+        let column = |v: &PagedVec<u32>| v.iter().copied().collect::<Vec<u32>>();
+        let heavy =
+            |h: &EquiHistogram| h.heavy.range(..).map(|(&k, &v)| (k, v)).collect::<Vec<_>>();
+        assert_eq!(column(&a.entries), column(&b.entries), "case {case}");
+        assert_eq!(column(&a.distinct), column(&b.distinct), "case {case}");
+        assert_eq!(heavy(a), heavy(b), "case {case}");
+        assert_eq!(
+            (a.total, a.distinct_total),
+            (b.total, b.distinct_total),
+            "case {case}"
+        );
+    }
+
+    #[test]
+    fn bulk_rebuild_equals_incremental_inserts_around_heavy_min() {
+        let heavy_min = EquiHistogram::HEAVY_MIN;
+        let mut x = 0x2545_f491_4f6c_dd1du64;
+        let mut next = move || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        };
+        for case in 0..64 {
+            // Multiplicities on both sides of HEAVY_MIN, on hashes
+            // spread over the buckets and a few sharing one bucket.
+            let mut multiset: Vec<u32> = Vec::new();
+            for _ in 0..(next() % 40) {
+                let raw = if next() % 4 == 0 {
+                    (next() % 64) as u32
+                } else {
+                    next() as u32
+                };
+                let n = match next() % 4 {
+                    0 => heavy_min - 1,
+                    1 => heavy_min,
+                    2 => heavy_min + 1,
+                    _ => 1 + (next() % u64::from(2 * heavy_min)) as u32,
+                };
+                multiset.extend(std::iter::repeat_n(raw, n as usize));
+            }
+            // The incremental path sees the entries in a random order.
+            let mut shuffled = multiset.clone();
+            for i in (1..shuffled.len()).rev() {
+                shuffled.swap(i, (next() % (i as u64 + 1)) as usize);
+            }
+            let mut incremental = EquiHistogram::default();
+            let mut counts: std::collections::HashMap<u32, u32> = Default::default();
+            for raw in shuffled {
+                let c = counts.entry(raw).or_default();
+                let prior = match incremental.heavy_count(raw) {
+                    Some(exact) => exact,
+                    None => (*c).min(heavy_min),
+                };
+                incremental.note_insert(raw, prior);
+                *c += 1;
+            }
+            multiset.sort_unstable();
+            let mut bulk = EquiHistogram::default();
+            bulk.rebuild_from_sorted(multiset.iter().copied());
+            if multiset.is_empty() {
+                // The incremental side never allocated its buckets.
+                assert_eq!(bulk.total(), 0);
+                continue;
+            }
+            assert_equi_eq(&bulk, &incremental, case);
+        }
     }
 
     #[test]

@@ -30,9 +30,10 @@ pub struct StringIndex {
     hashes: PagedVec<Option<HashValue>>,
     /// Cardinality statistics, maintained through every mutation.
     stats: EquiHistogram,
-    /// During initial creation, annotations accumulate in the column
-    /// only; the tree is bulk-loaded once at the end.
-    bulk: bool,
+    /// During initial creation, annotations accumulate in this plain
+    /// column only (no per-slot copy-on-write check); the tree, the
+    /// statistics and `hashes` are built from it once at the end.
+    staged: Option<Vec<Option<HashValue>>>,
 }
 
 impl StringIndex {
@@ -44,7 +45,17 @@ impl StringIndex {
             tree: BPlusTree::new(),
             hashes,
             stats: EquiHistogram::default(),
-            bulk: false,
+            staged: None,
+        }
+    }
+
+    /// Creates an empty index in bulk-creation mode:
+    /// [`StringIndex::set`] fills only a plain annotation column until
+    /// [`StringIndex::finish_bulk`].
+    pub(crate) fn for_bulk(arena_size: usize) -> StringIndex {
+        StringIndex {
+            staged: Some(vec![None; arena_size]),
+            ..StringIndex::default()
         }
     }
 
@@ -55,46 +66,32 @@ impl StringIndex {
             tree: self.tree.deep_clone(),
             hashes: self.hashes.deep_clone(),
             stats: self.stats.deep_clone(),
-            bulk: self.bulk,
+            staged: self.staged.clone(),
         }
     }
 
-    /// Enters bulk-creation mode: [`StringIndex::set`] fills only the
-    /// annotation column until [`StringIndex::finish_bulk`].
-    pub(crate) fn begin_bulk(&mut self) {
-        debug_assert!(self.tree.is_empty(), "bulk mode is for initial creation");
-        self.bulk = true;
-    }
-
-    /// Builds the hash B+tree from the annotation column in one
-    /// sorted pass (the database bulk-load; see `xvi-btree`).
+    /// Ends bulk-creation mode: sorts the staged `(hash, node)` keys
+    /// once, rebuilds the histogram and bulk-loads the tree from the
+    /// sorted run, then converts the staged column into the
+    /// copy-on-write annotation column page by page.
     pub(crate) fn finish_bulk(&mut self) {
-        let mut entries: Vec<(u32, u32)> = self
-            .hashes
-            .iter()
-            .enumerate()
-            .filter_map(|(i, h)| h.map(|h| (h.raw(), i as u32)))
-            .collect();
-        entries.sort_unstable();
+        let column = self.staged.take().expect("for_bulk first");
+        let keys = sorted_keys(&column);
         self.stats
-            .rebuild_from_sorted(entries.iter().map(|&(h, _)| h));
-        self.tree = BPlusTree::from_sorted_iter(entries.into_iter().map(|k| (k, ())));
-        self.bulk = false;
+            .rebuild_from_sorted(keys.iter().map(|&k| (k >> 32) as u32));
+        self.tree = BPlusTree::from_sorted_iter(
+            keys.into_iter().map(|k| (((k >> 32) as u32, k as u32), ())),
+        );
+        self.hashes = column.into_iter().collect();
     }
 
-    /// Persistence loader: installs `(node, hash)` annotations and
-    /// bulk-loads the tree.
+    /// Persistence loader: installs `(node, hash)` annotations into an
+    /// index in bulk-creation mode and finishes the bulk load.
     pub(crate) fn load_entries(&mut self, entries: Vec<(u32, HashValue)>) {
-        for &(node, hash) in &entries {
-            *self.slot(NodeId::from_index(node as usize)) = Some(hash);
+        for (node, hash) in entries {
+            self.set(NodeId::from_index(node as usize), hash);
         }
-        let mut keys: Vec<(u32, u32)> = entries
-            .into_iter()
-            .map(|(node, hash)| (hash.raw(), node))
-            .collect();
-        keys.sort_unstable();
-        self.stats.rebuild_from_sorted(keys.iter().map(|&(h, _)| h));
-        self.tree = BPlusTree::from_sorted_iter(keys.into_iter().map(|k| (k, ())));
+        self.finish_bulk();
     }
 
     /// The hash's multiplicity in the tree, capped at
@@ -141,8 +138,12 @@ impl StringIndex {
     /// Inserts or replaces the hash annotation of `node`, keeping the
     /// B+tree in sync. No-op if the hash is unchanged.
     pub fn set(&mut self, node: NodeId, hash: HashValue) {
-        if self.bulk {
-            *self.slot(node) = Some(hash);
+        if let Some(column) = &mut self.staged {
+            let i = node.index();
+            if i >= column.len() {
+                column.resize(i + 1, None);
+            }
+            column[i] = Some(hash);
             return;
         }
         let old = *self.slot(node);
@@ -237,6 +238,43 @@ impl StringIndex {
     pub fn pages_detached(&self) -> u64 {
         self.tree.pages_detached()
     }
+}
+
+/// The `(hash, node)` keys of an annotation column in ascending order,
+/// packed as `hash << 32 | node`.
+///
+/// Reading the column in slot order yields the keys sorted by node, so
+/// a stable LSD radix sort on the 32 hash bits — two passes of 16 bits
+/// — leaves them sorted by `(hash, node)`.
+fn sorted_keys(column: &[Option<HashValue>]) -> Vec<u64> {
+    const RADIX: usize = 1 << 16;
+    let mut keys: Vec<u64> = column
+        .iter()
+        .enumerate()
+        .filter_map(|(i, h)| h.map(|h| u64::from(h.raw()) << 32 | i as u64))
+        .collect();
+    let mut low = vec![0u32; RADIX];
+    let mut high = vec![0u32; RADIX];
+    for &k in &keys {
+        low[(k >> 32) as usize % RADIX] += 1;
+        high[(k >> 48) as usize] += 1;
+    }
+    let mut out = vec![0u64; keys.len()];
+    for (shift, mut next) in [(32, low), (48, high)] {
+        let mut start = 0;
+        for slot in next.iter_mut() {
+            let n = *slot;
+            *slot = start;
+            start += n;
+        }
+        for &k in &keys {
+            let digit = (k >> shift) as usize % RADIX;
+            out[next[digit] as usize] = k;
+            next[digit] += 1;
+        }
+        std::mem::swap(&mut keys, &mut out);
+    }
+    keys
 }
 
 #[cfg(test)]

@@ -107,24 +107,13 @@ impl TypedIndex {
         self.value_tree = BPlusTree::from_sorted_iter(values.into_iter().map(|k| (k, ())));
     }
 
-    /// Persistence loader: installs `(node, state, value)` tuples
-    /// (node-sorted input expected; sorted defensively) and bulk-loads
-    /// both trees.
-    pub(crate) fn load_entries(&mut self, mut entries: Vec<(u32, StateId, Option<f64>)>) {
-        entries.sort_unstable_by_key(|&(n, _, _)| n);
-        let mut values: Vec<(OrdF64, u32)> = entries
-            .iter()
-            .filter_map(|&(n, _, v)| v.map(|v| (OrdF64(v), n)))
-            .collect();
-        values.sort_unstable();
-        self.hist =
-            ValueHistogram::from_sorted(&values.iter().map(|&(v, _)| v.0).collect::<Vec<f64>>());
-        self.node_tree = BPlusTree::from_sorted_iter(
-            entries
-                .into_iter()
-                .map(|(n, st, v)| (n, NodeEntry::new(st, v.map(OrdF64)))),
-        );
-        self.value_tree = BPlusTree::from_sorted_iter(values.into_iter().map(|k| (k, ())));
+    /// Persistence loader: installs `(node, state, value)` tuples into
+    /// an index in bulk-creation mode and finishes the bulk load.
+    pub(crate) fn load_entries(&mut self, entries: Vec<(u32, StateId, Option<f64>)>) {
+        for (n, st, v) in entries {
+            self.set(NodeId::from_index(n as usize), Some(st), v);
+        }
+        self.finish_bulk();
     }
 
     /// The indexed type.

@@ -97,20 +97,26 @@ pub enum DfsEvent {
 
 /// Streams [`DfsEvent`]s for the subtree rooted at `root` (structural
 /// nodes only — attributes are visited separately by index creation).
+///
+/// The walk keeps O(1) state: it follows the `first_child`,
+/// `next_sibling` and `parent` links from the last event, so it
+/// allocates nothing however large or deep the subtree is.
 pub fn dfs_events(doc: &Document, root: NodeId) -> impl Iterator<Item = DfsEvent> + '_ {
-    let mut stack: Vec<(NodeId, bool)> = vec![(root, false)];
+    let mut next = Some(DfsEvent::Enter(root));
     std::iter::from_fn(move || {
-        let (node, expanded) = stack.pop()?;
-        if expanded {
-            return Some(DfsEvent::Leave(node));
-        }
-        stack.push((node, true));
-        // Push children in reverse so the leftmost pops first.
-        let children: Vec<NodeId> = doc.children(node).collect();
-        for c in children.into_iter().rev() {
-            stack.push((c, false));
-        }
-        Some(DfsEvent::Enter(node))
+        let event = next?;
+        next = match event {
+            DfsEvent::Enter(node) => Some(match doc.first_child(node) {
+                Some(child) => DfsEvent::Enter(child),
+                None => DfsEvent::Leave(node),
+            }),
+            DfsEvent::Leave(node) if node == root => None,
+            DfsEvent::Leave(node) => match doc.next_sibling(node) {
+                Some(sibling) => Some(DfsEvent::Enter(sibling)),
+                None => doc.parent(node).map(DfsEvent::Leave),
+            },
+        };
+        Some(event)
     })
 }
 

@@ -5,135 +5,134 @@ use crate::node::{NodeId, NodeKind};
 
 /// Serialises the whole document to XML text.
 pub fn to_string(doc: &Document) -> String {
-    let mut out = String::new();
-    for child in doc.children(doc.document_node()) {
-        write_node(doc, child, &mut out);
-    }
-    out
+    node_to_string(doc, doc.document_node())
 }
 
 /// Serialises the subtree rooted at `node`.
 pub fn node_to_string(doc: &Document, node: NodeId) -> String {
     let mut out = String::new();
-    write_node(doc, node, &mut out);
+    write_subtree(doc, node, &mut out);
     out
 }
 
-fn write_node(doc: &Document, node: NodeId, out: &mut String) {
-    match doc.kind(node) {
-        NodeKind::Document => {
-            for child in doc.children(node) {
-                write_node(doc, child, out);
+/// Writes the subtree rooted at `root` by following the tree links:
+/// start tags on the way down, end tags on the way back up. Iterative,
+/// so arbitrarily deep trees serialise, and the only buffer is the
+/// stack of open element names.
+fn write_subtree(doc: &Document, root: NodeId, out: &mut String) {
+    // Names of the open elements below `root`, innermost last.
+    let mut open: Vec<&str> = Vec::new();
+    let mut node = root;
+    loop {
+        let data = doc.data(node);
+        let descend = match &data.kind {
+            NodeKind::Document => true,
+            NodeKind::Element(name) => {
+                let name = doc.resolve(*name);
+                out.push('<');
+                out.push_str(name);
+                write_attributes(doc, data.first_attr.get(), out);
+                if data.first_child.get().is_some() {
+                    out.push('>');
+                    open.push(name);
+                    true
+                } else {
+                    out.push_str("/>");
+                    false
+                }
             }
-        }
-        NodeKind::Element(name) => {
-            out.push('<');
-            out.push_str(doc.resolve(*name));
-            for attr in doc.attributes(node) {
-                if let NodeKind::Attribute { name, value } = doc.kind(attr) {
+            NodeKind::Text(t) => {
+                escape_into(t, false, out);
+                false
+            }
+            NodeKind::Comment(c) => {
+                out.push_str("<!--");
+                out.push_str(c);
+                out.push_str("-->");
+                false
+            }
+            NodeKind::Pi { target, data } => {
+                out.push_str("<?");
+                out.push_str(target);
+                if !data.is_empty() {
                     out.push(' ');
-                    out.push_str(doc.resolve(*name));
-                    out.push_str("=\"");
-                    escape_into(value, true, out);
-                    out.push('"');
+                    out.push_str(data);
                 }
+                out.push_str("?>");
+                false
             }
-            if doc.first_child(node).is_none() {
-                out.push_str("/>");
-            } else {
-                out.push('>');
-                // Children can be arbitrarily deep; recurse with an
-                // explicit stack to stay iterative.
-                let mut stack: Vec<(NodeId, bool)> = Vec::new();
-                let kids: Vec<NodeId> = doc.children(node).collect();
-                for k in kids.into_iter().rev() {
-                    stack.push((k, false));
-                }
-                while let Some((n, closing)) = stack.pop() {
-                    if closing {
-                        out.push_str("</");
-                        out.push_str(doc.name(n).expect("closing an element"));
-                        out.push('>');
-                        continue;
-                    }
-                    match doc.kind(n) {
-                        NodeKind::Element(name) => {
-                            out.push('<');
-                            out.push_str(doc.resolve(*name));
-                            for attr in doc.attributes(n) {
-                                if let NodeKind::Attribute { name, value } = doc.kind(attr) {
-                                    out.push(' ');
-                                    out.push_str(doc.resolve(*name));
-                                    out.push_str("=\"");
-                                    escape_into(value, true, out);
-                                    out.push('"');
-                                }
-                            }
-                            if doc.first_child(n).is_none() {
-                                out.push_str("/>");
-                            } else {
-                                out.push('>');
-                                stack.push((n, true));
-                                let kids: Vec<NodeId> = doc.children(n).collect();
-                                for k in kids.into_iter().rev() {
-                                    stack.push((k, false));
-                                }
-                            }
-                        }
-                        NodeKind::Text(t) => escape_into(t, false, out),
-                        NodeKind::Comment(c) => {
-                            out.push_str("<!--");
-                            out.push_str(c);
-                            out.push_str("-->");
-                        }
-                        NodeKind::Pi { target, data } => {
-                            out.push_str("<?");
-                            out.push_str(target);
-                            if !data.is_empty() {
-                                out.push(' ');
-                                out.push_str(data);
-                            }
-                            out.push_str("?>");
-                        }
-                        NodeKind::Document | NodeKind::Attribute { .. } | NodeKind::Free => {}
-                    }
-                }
+            NodeKind::Attribute { value, .. } => {
+                escape_into(value, true, out);
+                false
+            }
+            NodeKind::Free => false,
+        };
+        if let Some(child) = data.first_child.get().filter(|_| descend) {
+            node = child;
+            continue;
+        }
+        // The subtree of `node` is written: move to its next sibling,
+        // closing every element whose last child this was.
+        loop {
+            if node == root {
+                return;
+            }
+            let data = doc.data(node);
+            if let Some(sibling) = data.next_sibling.get() {
+                node = sibling;
+                break;
+            }
+            node = data
+                .parent
+                .get()
+                .expect("a node below the root has a parent");
+            // Only elements push a name, and the document node is
+            // never below an element, so a pop here closes `node`.
+            if let Some(name) = open.pop() {
                 out.push_str("</");
-                out.push_str(doc.resolve(*name));
+                out.push_str(name);
                 out.push('>');
             }
         }
-        NodeKind::Text(t) => escape_into(t, false, out),
-        NodeKind::Comment(c) => {
-            out.push_str("<!--");
-            out.push_str(c);
-            out.push_str("-->");
+    }
+}
+
+fn write_attributes(doc: &Document, first: Option<NodeId>, out: &mut String) {
+    let mut attr = first;
+    while let Some(a) = attr {
+        let data = doc.data(a);
+        if let NodeKind::Attribute { name, value } = &data.kind {
+            out.push(' ');
+            out.push_str(doc.resolve(*name));
+            out.push_str("=\"");
+            escape_into(value, true, out);
+            out.push('"');
         }
-        NodeKind::Pi { target, data } => {
-            out.push_str("<?");
-            out.push_str(target);
-            if !data.is_empty() {
-                out.push(' ');
-                out.push_str(data);
-            }
-            out.push_str("?>");
-        }
-        NodeKind::Attribute { value, .. } => escape_into(value, true, out),
-        NodeKind::Free => {}
+        attr = data.next_sibling.get();
     }
 }
 
 /// Escapes character data; `in_attr` additionally escapes quotes.
+///
+/// Copies each run of bytes between escapable characters in one
+/// `push_str`. The four escapable characters are ASCII, and an ASCII
+/// byte never occurs inside a multi-byte UTF-8 sequence, so every cut
+/// falls on a character boundary.
 pub fn escape_into(s: &str, in_attr: bool, out: &mut String) {
-    for c in s.chars() {
-        match c {
-            '&' => out.push_str("&amp;"),
-            '<' => out.push_str("&lt;"),
-            '>' => out.push_str("&gt;"),
-            '"' if in_attr => out.push_str("&quot;"),
-            _ => out.push(c),
-        }
+    let mut start = 0;
+    for (i, &b) in s.as_bytes().iter().enumerate() {
+        let entity = match b {
+            b'&' => "&amp;",
+            b'<' => "&lt;",
+            b'>' => "&gt;",
+            b'"' if in_attr => "&quot;",
+            _ => continue,
+        };
+        out.push_str(&s[start..i]);
+        out.push_str(entity);
+        start = i + 1;
     }
+    out.push_str(&s[start..]);
 }
 
 #[cfg(test)]
