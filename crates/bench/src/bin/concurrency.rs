@@ -13,8 +13,8 @@
 //! durable-commit latency vs. document size, group-fsync WAL vs.
 //! per-commit full-image saves. Pass `aggregates` to run the exact-
 //! aggregate sweep ([`xvi_bench::experiments::run_aggregates`]):
-//! monoid-summary `count_range` vs. histogram estimate vs. full scan,
-//! with identical answers asserted. Pass `serve` to run the open-loop
+//! monoid-summary `count_range` vs. full scan, with identical answers
+//! and the `2·depth + 1` probe budget asserted. Pass `serve` to run the open-loop
 //! serving sweep ([`xvi_bench::experiments::run_serve`]): latency
 //! percentiles (p50/p99/p999) vs. arrival rate through the
 //! `xvi-serve` frontend, with typed load-shedding above saturation.

@@ -984,8 +984,8 @@ pub fn run_planner(permille: u32, reps: usize) {
 }
 
 /// Exact aggregates from the monoid summaries: `count_range` against
-/// the histogram estimate and the full index scan, on XMark range and
-/// equality probes of varying selectivity.
+/// the full index scan, on XMark range and equality probes of varying
+/// selectivity.
 ///
 /// Every exact count is asserted identical to the scan's answer, and
 /// the probe counter is asserted within its `2·depth + 1` budget —
@@ -993,8 +993,8 @@ pub fn run_planner(permille: u32, reps: usize) {
 /// summary maintenance under a real document's tree shapes.
 pub fn run_aggregates(permille: u32, reps: usize) {
     println!(
-        "Aggregates — exact count_range (monoid summaries) vs. histogram \
-         estimate vs. full scan (scale {permille}‰, {reps} reps)\n"
+        "Aggregates — exact count_range (monoid summaries) vs. full scan \
+         (scale {permille}‰, {reps} reps)\n"
     );
 
     let (_, doc) = load(Dataset::XMark(1), permille);
@@ -1016,10 +1016,8 @@ pub fn run_aggregates(permille: u32, reps: usize) {
     let table = Table::new(&[
         ("Probe", 14),
         ("answer", 10),
-        ("hist est", 10),
         ("probes", 8),
         ("exact µs", 10),
-        ("hist µs", 10),
         ("scan µs", 10),
         ("vs scan", 9),
     ]);
@@ -1036,19 +1034,9 @@ pub fn run_aggregates(permille: u32, reps: usize) {
             probes <= 2 * depth + 1,
             "{name}: {probes} probes exceeds 2·{depth}+1"
         );
-        let hist = typed.histogram_estimate_range(&bounds);
-        assert!(
-            hist.lower <= truth && truth <= hist.upper,
-            "{name}: histogram bounds [{}, {}] miss {truth}",
-            hist.lower,
-            hist.upper
-        );
 
         let exact_t = time_mean(reps, |_| {
             std::hint::black_box(typed.estimate_range(&bounds));
-        });
-        let hist_t = time_mean(reps, |_| {
-            std::hint::black_box(typed.histogram_estimate_range(&bounds));
         });
         let scan_t = time_mean(reps, |_| {
             std::hint::black_box(typed.range(lo..=hi).len());
@@ -1060,10 +1048,8 @@ pub fn run_aggregates(permille: u32, reps: usize) {
         table.row(&[
             name.to_string(),
             exact.to_string(),
-            hist.estimate.to_string(),
             probes.to_string(),
             us(exact_t),
-            us(hist_t),
             us(scan_t),
             format!("{vs_scan:.1}x"),
         ]);
@@ -1077,17 +1063,9 @@ pub fn run_aggregates(permille: u32, reps: usize) {
         let exact = string.estimate_equi(hash);
         assert_eq!(exact.estimate, truth, "{name}: exact equi count diverged");
         assert_eq!((exact.lower, exact.upper), (truth, truth));
-        let hist = string.histogram_estimate_equi(hash);
-        assert!(
-            hist.lower <= truth && truth <= hist.upper,
-            "{name}: histogram bounds miss the truth"
-        );
 
         let exact_t = time_mean(reps, |_| {
             std::hint::black_box(string.estimate_equi(hash));
-        });
-        let hist_t = time_mean(reps, |_| {
-            std::hint::black_box(string.histogram_estimate_equi(hash));
         });
         let scan_t = time_mean(reps, |_| {
             std::hint::black_box(string.candidates(hash).len());
@@ -1095,10 +1073,8 @@ pub fn run_aggregates(permille: u32, reps: usize) {
         table.row(&[
             name.to_string(),
             exact.estimate.to_string(),
-            hist.estimate.to_string(),
             "-".to_string(),
             us(exact_t),
-            us(hist_t),
             us(scan_t),
             format!("{:.1}x", scan_t.as_secs_f64() / exact_t.as_secs_f64()),
         ]);
@@ -1108,9 +1084,7 @@ pub fn run_aggregates(permille: u32, reps: usize) {
         "\nHeadline (widest range, exact count over materialised scan):\n\
          {headline:.1}x on {numbers} indexed strings — the summary walk visits\n\
          at most 2·depth+1 = {budget} nodes regardless of how many entries the\n\
-         range covers, where the scan's cost is the answer itself. The\n\
-         histogram column is the PR 5 estimate the summaries replace for\n\
-         tree-backed probes: bounded, but only exact for heavy hitters.",
+         range covers, where the scan's cost is the answer itself.",
         budget = 2 * depth + 1
     );
 }

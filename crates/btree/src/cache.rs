@@ -71,8 +71,7 @@
 //!
 //! [`InlinePath`] is a fixed-size path array bounded by
 //! [`MAX_DEPTH`]; descents assert the bound instead of allocating a
-//! `Vec` per walk. The branch cache, the cold-walk recorder, and the
-//! snapshot-diff cursor all use it.
+//! `Vec` per walk. The branch cache and the cold-walk recorder use it.
 
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering::Relaxed};
 

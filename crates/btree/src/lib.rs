@@ -20,11 +20,9 @@
 //!   interior node stores, per child, the exact entry count, min/max
 //!   key and order-sensitive key-sequence hash of that child's
 //!   subtree, maintained through every mutation path. This buys exact
-//!   [`BPlusTree::count_range`] cardinalities in O(log n) node visits,
-//!   an O(fan-out) [`BPlusTree::subtree_hash`] for structural
-//!   comparison, and O(log n + Δ) snapshot diffs
-//!   ([`BPlusTree::diff_keys`]). Keys must therefore implement
-//!   [`std::hash::Hash`].
+//!   [`BPlusTree::count_range`] cardinalities in O(log n) node visits
+//!   and an O(fan-out) [`BPlusTree::subtree_hash`] for structural
+//!   comparison. Keys must therefore implement [`std::hash::Hash`].
 //!
 //! Duplicate logical keys (e.g. many nodes sharing one hash value) are
 //! handled the way databases usually do it: with composite keys such as

@@ -16,8 +16,7 @@
 //! as identity, a parent's summary is a fold of its children's stored
 //! summaries — O(fan-out), never O(subtree). That is what makes exact
 //! `count_range` answers O(log n) (whole covered subtrees contribute
-//! one stored count) and snapshot diffs O(log n + Δ) (equal hashes
-//! prune equal subtrees).
+//! one stored count) and the root's key-sequence hash O(fan-out).
 //!
 //! The hash covers **keys only**. Values can be mutated in place
 //! through `get_mut` without the tree seeing it, so no value hash

@@ -1,13 +1,11 @@
 //! The B+tree proper: lookup, insert with splits, delete with
 //! borrow/merge rebalancing, monoid-summary maintenance, exact range
-//! aggregates, snapshot diffing, and structural statistics.
+//! aggregates, the key-sequence hash, and structural statistics.
 
 use std::hash::Hash;
 use std::ops::{Bound, RangeBounds};
 
-use crate::cache::{
-    hinted_partition_point, hinted_search, BranchCache, InlinePath, ProbeGate, MAX_DEPTH,
-};
+use crate::cache::{hinted_partition_point, hinted_search, BranchCache, InlinePath, ProbeGate};
 use crate::iter::Range;
 use crate::node::{Node, NIL};
 use crate::page::{ColVec, PagedVec};
@@ -1055,7 +1053,7 @@ impl<K: Ord + Clone + Hash, V: Clone> BPlusTree<K, V> {
         *self = Self::with_order(order);
     }
 
-    // ----- monoid summaries: exact aggregates and structural diff ----------
+    // ----- monoid summaries: exact aggregates and the sequence hash --------
 
     /// The maintained [`Summary`] of the whole tree: exact entry
     /// count, min/max key, and the order-sensitive key-sequence hash.
@@ -1068,10 +1066,9 @@ impl<K: Ord + Clone + Hash, V: Clone> BPlusTree<K, V> {
     /// with equal `subtree_hash` hold the same keys in the same order
     /// (modulo 64-bit hash collisions) regardless of node shape,
     /// order, or arena layout — the comparison handle for snapshot
-    /// verification and [`BPlusTree::diff_keys`]. Values are *not*
-    /// covered: they can change through [`BPlusTree::get_mut`] without
-    /// the tree observing it, so no maintained value hash could be
-    /// sound.
+    /// verification. Values are *not* covered: they can change through
+    /// [`BPlusTree::get_mut`] without the tree observing it, so no
+    /// maintained value hash could be sound.
     pub fn subtree_hash(&self) -> u64 {
         self.summary().hash
     }
@@ -1153,84 +1150,6 @@ impl<K: Ord + Clone + Hash, V: Clone> BPlusTree<K, V> {
             }
             Node::Free => unreachable!("descended into a freed node"),
         }
-    }
-
-    /// Symmetric difference of the key sets of two trees, plus the
-    /// total number of nodes visited across both.
-    ///
-    /// Runs a sorted merge over both trees' cursors, but whenever both
-    /// cursors stand at the start of subtrees with equal summaries
-    /// (count, min/max, *and* sequence hash), the largest such pair is
-    /// skipped wholesale without entering it. Between two snapshot
-    /// versions related by k point mutations this visits O(log n + Δ)
-    /// nodes — essentially the COW-detached write paths plus the two
-    /// spines — instead of O(n). Node shape may differ freely between
-    /// the trees (splits, merges, compaction); only key content
-    /// matters. Equality of subtrees is judged by the 64-bit combined
-    /// hash, so the result is exact modulo hash collisions.
-    pub fn diff_keys(&self, other: &BPlusTree<K, V>) -> (Vec<K>, usize) {
-        let mut a = DiffCursor::new(self);
-        let mut b = DiffCursor::new(other);
-        let mut out = Vec::new();
-        loop {
-            if a.at_end() && b.at_end() {
-                break;
-            }
-            if a.at_end() {
-                out.push(b.key().clone());
-                b.advance();
-                continue;
-            }
-            if b.at_end() {
-                out.push(a.key().clone());
-                a.advance();
-                continue;
-            }
-            // Prune: the largest pair of here-starting subtrees with
-            // identical summaries covers an identical key run in both
-            // trees, so the merge can hop over both at once.
-            let ca = a.candidates();
-            if !ca.is_empty() {
-                let cb = b.candidates();
-                if !cb.is_empty() {
-                    let sb: Vec<Summary<K>> = cb
-                        .as_slice()
-                        .iter()
-                        .map(|&(_, id)| other.node_summary(id))
-                        .collect();
-                    let mut pruned = false;
-                    'outer: for &(ja, ida) in ca.as_slice() {
-                        let sa = self.node_summary(ida);
-                        for (j, &(jb, _)) in cb.as_slice().iter().enumerate() {
-                            if sa == sb[j] {
-                                a.skip_to_next_subtree(ja);
-                                b.skip_to_next_subtree(jb);
-                                pruned = true;
-                                break 'outer;
-                            }
-                        }
-                    }
-                    if pruned {
-                        continue;
-                    }
-                }
-            }
-            match a.key().cmp(b.key()) {
-                std::cmp::Ordering::Less => {
-                    out.push(a.key().clone());
-                    a.advance();
-                }
-                std::cmp::Ordering::Greater => {
-                    out.push(b.key().clone());
-                    b.advance();
-                }
-                std::cmp::Ordering::Equal => {
-                    a.advance();
-                    b.advance();
-                }
-            }
-        }
-        (out, a.probes + b.probes)
     }
 
     /// Cumulative copy-on-write page detaches (see
@@ -1561,234 +1480,6 @@ impl<K: Ord + Clone + Hash, V: Clone> BPlusTree<K, V> {
                     combined = combined.combine(&child_summary);
                 }
                 Ok((depth.expect("internal node has children") + 1, combined))
-            }
-        }
-    }
-}
-
-/// Fixed-capacity stack of `(internal node id, child index taken)`
-/// descent steps: the diff cursor's root-to-leaf path without a
-/// per-descent heap allocation. Depth is bounded by [`MAX_DEPTH`]
-/// (asserted on push).
-struct PathStack {
-    steps: [(u32, u32); MAX_DEPTH],
-    len: usize,
-}
-
-impl PathStack {
-    fn new() -> Self {
-        PathStack {
-            steps: [(0, 0); MAX_DEPTH],
-            len: 0,
-        }
-    }
-
-    fn push(&mut self, node: u32, child: usize) {
-        assert!(self.len < MAX_DEPTH, "tree depth exceeds MAX_DEPTH");
-        self.steps[self.len] = (node, child as u32);
-        self.len += 1;
-    }
-
-    fn pop(&mut self) -> Option<(u32, usize)> {
-        if self.len == 0 {
-            None
-        } else {
-            self.len -= 1;
-            let (node, child) = self.steps[self.len];
-            Some((node, child as usize))
-        }
-    }
-
-    fn truncate(&mut self, n: usize) {
-        self.len = self.len.min(n);
-    }
-
-    fn len(&self) -> usize {
-        self.len
-    }
-
-    fn get(&self, i: usize) -> (u32, usize) {
-        debug_assert!(i < self.len);
-        let (node, child) = self.steps[i];
-        (node, child as usize)
-    }
-}
-
-/// Inline list of [`BPlusTree::diff_keys`] prune candidates —
-/// `(path depth, subtree root id)` pairs, at most one per level plus
-/// the leaf, so it fits next to the path without allocating.
-struct Candidates {
-    items: [(usize, u32); MAX_DEPTH + 1],
-    len: usize,
-}
-
-impl Candidates {
-    fn empty() -> Self {
-        Candidates {
-            items: [(0, 0); MAX_DEPTH + 1],
-            len: 0,
-        }
-    }
-
-    fn push(&mut self, depth: usize, id: u32) {
-        self.items[self.len] = (depth, id);
-        self.len += 1;
-    }
-
-    fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    fn as_slice(&self) -> &[(usize, u32)] {
-        &self.items[..self.len]
-    }
-}
-
-/// A stack-based in-order position inside one tree, able to report the
-/// maximal subtrees that *start* at the current key (the prune
-/// candidates of [`BPlusTree::diff_keys`]) and to hop over one of them
-/// in O(1) pops + one descent.
-struct DiffCursor<'a, K, V> {
-    tree: &'a BPlusTree<K, V>,
-    /// Root-to-leaf path as `(internal node id, child index taken)`.
-    path: PathStack,
-    /// Current leaf, or `NIL` once exhausted.
-    leaf: u32,
-    /// Current key index within the leaf.
-    idx: usize,
-    /// Nodes visited (every descent step counts once).
-    probes: usize,
-}
-
-impl<'a, K: Ord + Clone + Hash, V: Clone> DiffCursor<'a, K, V> {
-    fn new(tree: &'a BPlusTree<K, V>) -> Self {
-        let mut c = DiffCursor {
-            tree,
-            path: PathStack::new(),
-            leaf: NIL,
-            idx: 0,
-            probes: 0,
-        };
-        c.descend(tree.root);
-        c.normalize();
-        c
-    }
-
-    fn at_end(&self) -> bool {
-        self.leaf == NIL
-    }
-
-    fn key(&self) -> &'a K {
-        match self.tree.node(self.leaf) {
-            Node::Leaf { keys, .. } => &keys[self.idx],
-            _ => unreachable!("cursor leaf is a leaf"),
-        }
-    }
-
-    fn leaf_len(&self) -> usize {
-        match self.tree.node(self.leaf) {
-            Node::Leaf { keys, .. } => keys.len(),
-            _ => unreachable!("cursor leaf is a leaf"),
-        }
-    }
-
-    /// Pushes the path down to the leftmost leaf under `id`.
-    fn descend(&mut self, mut id: u32) {
-        loop {
-            self.probes += 1;
-            match self.tree.node(id) {
-                Node::Internal { children, .. } => {
-                    self.path.push(id, 0);
-                    id = children[0];
-                }
-                Node::Leaf { .. } => {
-                    self.leaf = id;
-                    self.idx = 0;
-                    return;
-                }
-                Node::Free => unreachable!("descended into a freed node"),
-            }
-        }
-    }
-
-    /// If the leaf is exhausted, climbs to the next unvisited sibling
-    /// subtree (or exhausts the cursor). Leaves are never empty except
-    /// the lone root leaf of an empty tree, which exhausts here.
-    fn normalize(&mut self) {
-        while self.leaf != NIL && self.idx >= self.leaf_len() {
-            loop {
-                match self.path.pop() {
-                    None => {
-                        self.leaf = NIL;
-                        return;
-                    }
-                    Some((node, ci)) => {
-                        let next_child = match self.tree.node(node) {
-                            Node::Internal { children, .. } => {
-                                (ci + 1 < children.len()).then(|| children[ci + 1])
-                            }
-                            _ => unreachable!(),
-                        };
-                        if let Some(child) = next_child {
-                            self.path.push(node, ci + 1);
-                            self.descend(child);
-                            break;
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    fn advance(&mut self) {
-        self.idx += 1;
-        self.normalize();
-    }
-
-    /// The subtrees whose key runs start exactly at the current key,
-    /// largest first, as `(path depth, subtree root id)`. Depth
-    /// `path.len()` denotes the current leaf itself; smaller depths
-    /// denote ancestors reached through child index 0 all the way
-    /// down. Empty unless the cursor stands at a leaf's first key.
-    fn candidates(&self) -> Candidates {
-        let mut out = Candidates::empty();
-        if self.at_end() || self.idx != 0 {
-            return out;
-        }
-        let mut start = self.path.len();
-        while start > 0 && self.path.get(start - 1).1 == 0 {
-            start -= 1;
-        }
-        for j in start..self.path.len() {
-            out.push(j, self.path.get(j).0);
-        }
-        out.push(self.path.len(), self.leaf);
-        out
-    }
-
-    /// Hops over the candidate subtree at path depth `j` (as returned
-    /// by [`DiffCursor::candidates`]) to the next key after it.
-    fn skip_to_next_subtree(&mut self, j: usize) {
-        self.path.truncate(j);
-        loop {
-            match self.path.pop() {
-                None => {
-                    self.leaf = NIL;
-                    return;
-                }
-                Some((node, ci)) => {
-                    let next_child = match self.tree.node(node) {
-                        Node::Internal { children, .. } => {
-                            (ci + 1 < children.len()).then(|| children[ci + 1])
-                        }
-                        _ => unreachable!(),
-                    };
-                    if let Some(child) = next_child {
-                        self.path.push(node, ci + 1);
-                        self.descend(child);
-                        return;
-                    }
-                }
             }
         }
     }

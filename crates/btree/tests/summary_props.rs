@@ -7,12 +7,6 @@
 //! and [`BPlusTree::count_range`] must agree with the range iterator
 //! for every bound shape — including empty and reversed bounds — while
 //! visiting at most `2·depth + 1` nodes.
-//!
-//! The second half pins the structural-diff side: between two snapshot
-//! versions related by k point mutations, [`BPlusTree::diff_keys`]
-//! returns exactly the symmetric key difference while probing
-//! O(k·depth) nodes, far below the node count — the subtree-hash
-//! pruning doing its job.
 
 use std::ops::Bound;
 
@@ -143,74 +137,6 @@ proptest! {
     }
 }
 
-// ----- snapshot structural diff (subtree-hash pruning) ---------------------
-
-#[test]
-fn diff_of_identical_trees_is_empty_and_cheap() {
-    let t: BPlusTree<u32, u32> = BPlusTree::from_sorted_iter((0..50_000).map(|i| (i, i)));
-    let snap = t.clone();
-    let (diff, probes) = t.diff_keys(&snap);
-    assert!(diff.is_empty());
-    let depth = t.stats().depth;
-    // One spine descent per tree, then the root pair prunes everything.
-    assert!(
-        probes <= 2 * (depth + 1),
-        "{probes} probes to diff identical trees of depth {depth}"
-    );
-}
-
-#[test]
-fn diff_localizes_point_mutations() {
-    let t: BPlusTree<u32, u32> = BPlusTree::from_sorted_iter((0..200_000u32).map(|i| (2 * i, i)));
-    let snap = t.clone();
-    let mut mutated = t;
-
-    // 12 point mutations: 8 fresh inserts (odd keys) + 4 removals.
-    let inserted: Vec<u32> = (0..8u32).map(|i| 20_000 * i + 1).collect();
-    let removed: Vec<u32> = (0..4u32).map(|i| 44_000 * i + 6).collect();
-    for &k in &inserted {
-        mutated.insert(k, 0);
-    }
-    for &k in &removed {
-        assert_eq!(mutated.remove(&k), Some(k / 2));
-    }
-
-    let mut expect: Vec<u32> = inserted.iter().chain(removed.iter()).copied().collect();
-    expect.sort_unstable();
-
-    let (mut diff, probes) = mutated.diff_keys(&snap);
-    diff.sort_unstable();
-    assert_eq!(diff, expect, "diff must be exactly the mutated keys");
-
-    // Localization: probes scale with mutations × depth, not with n.
-    let sa = mutated.stats();
-    let sb = snap.stats();
-    let (da, db) = (sa.depth, sb.depth);
-    let k = expect.len();
-    // The per-gap pruning decomposes each unchanged stretch into
-    // O(fan-out · depth) maximal aligned subtrees, so the constant is
-    // generous — the sharp claim is the sublinearity assert below.
-    assert!(
-        probes <= 16 * (k + 2) * (da + db + 2),
-        "{probes} probes for {k} mutations at depths {da}/{db}"
-    );
-    let total_nodes = sa.leaves + sa.internals + sb.leaves + sb.internals;
-    assert!(
-        probes < total_nodes / 4,
-        "{probes} probes is not sublinear in {total_nodes} nodes"
-    );
-
-    // And the COW accounting agrees on the blast radius: the pages the
-    // mutations detached bound the structure that could have diverged.
-    let detached = sa.pages - sa.shared_pages;
-    assert!(detached >= 1, "mutating a pinned tree must detach pages");
-    assert!(
-        diff.len() <= detached * xvi_btree::PAGE_SIZE,
-        "{} differing keys exceed the {detached} detached pages' capacity",
-        diff.len()
-    );
-}
-
 #[test]
 fn value_only_mutation_is_invisible_to_diff() {
     let mut t: BPlusTree<u32, u32> = BPlusTree::from_sorted_iter((0..10_000).map(|i| (i, i)));
@@ -219,21 +145,6 @@ fn value_only_mutation_is_invisible_to_diff() {
     // key — documented as invisible to the key-sequence hash.
     *t.get_mut(&4321).unwrap() = 999;
     assert_eq!(t.subtree_hash(), snap.subtree_hash());
-    let (diff, _) = t.diff_keys(&snap);
-    assert!(diff.is_empty(), "value edits must not show up as key diffs");
-}
-
-#[test]
-fn diff_against_empty_tree_lists_everything() {
-    let t: BPlusTree<u32, u32> = BPlusTree::from_sorted_iter((0..100).map(|i| (i, i)));
-    let empty: BPlusTree<u32, u32> = BPlusTree::new();
-    let (diff, _) = t.diff_keys(&empty);
-    assert_eq!(diff, (0..100).collect::<Vec<u32>>());
-    let (diff, _) = empty.diff_keys(&t);
-    assert_eq!(diff, (0..100).collect::<Vec<u32>>());
-    let (diff, probes) = empty.diff_keys(&BPlusTree::new());
-    assert!(diff.is_empty());
-    assert!(probes <= 2);
 }
 
 // ----- shrink_to_fit preservation (the compaction fix's pin) ---------------

@@ -67,9 +67,7 @@ pub use service::{
     CommitReceipt, CommitTicket, DocId, DocSnapshot, Durability, IndexService, ServiceConfig,
     ServiceSnapshot,
 };
-pub use stats::{
-    CardinalityEstimate, EquiHistogram, QGramTable, RootSummary, Statistics, ValueHistogram,
-};
+pub use stats::{CardinalityEstimate, QGramTable};
 pub use string_index::StringIndex;
 pub use substring::SubstringIndex;
 pub use txn::{Transaction, TransactionalStore};

@@ -11,7 +11,7 @@ use crate::config::IndexConfig;
 use crate::create::index_subtree;
 use crate::error::IndexError;
 use crate::lookup::{Bounds, Lookup, QueryResult};
-use crate::stats::{CardinalityEstimate, RootSummary, Statistics};
+use crate::stats::CardinalityEstimate;
 use crate::string_index::StringIndex;
 use crate::substring::SubstringIndex;
 use crate::typed_index::TypedIndex;
@@ -76,15 +76,15 @@ impl IndexManager {
     /// computed entries, every index in bulk-creation mode: `build`
     /// and the persistence loader fill it and finish the bulk load.
     pub(crate) fn new_empty(doc: &Document, config: IndexConfig) -> IndexManager {
-        let mut typed: Vec<TypedIndex> = config.typed.iter().map(|&t| TypedIndex::new(t)).collect();
-        for t in typed.iter_mut() {
-            t.begin_bulk();
-        }
         IndexManager {
             string: config
                 .string_index
                 .then(|| StringIndex::for_bulk(doc.arena_size())),
-            typed,
+            typed: config
+                .typed
+                .iter()
+                .map(|&t| TypedIndex::for_bulk(t))
+                .collect(),
             substring: None,
             config,
         }
@@ -238,10 +238,11 @@ impl IndexManager {
     /// **exactly** (`lower == estimate == upper`) in O(log n) node
     /// visits from the B+trees' interior monoid summaries; for `Equi`
     /// the count covers hash-matching *candidates*, before string
-    /// verification. Substring lookups keep their histogram-derived
-    /// guaranteed `[lower, upper]` bounds around the point estimate —
-    /// the contract the statistics-maintenance property tests pin
-    /// down, and what [`QueryEngine`](crate::QueryEngine) ranks
+    /// verification. Substring lookups — [`Lookup::Contains`],
+    /// [`Lookup::Wildcard`] — are answered from the substring index's
+    /// q-gram table ([`QGramTable`](crate::QGramTable)) with guaranteed
+    /// `[lower, upper]` bounds around the point estimate. Either way
+    /// the estimate is what [`QueryEngine`](crate::QueryEngine) ranks
     /// candidate predicates by. A [`Lookup::XPath`] request instead
     /// estimates the *work* of the chosen plan with vacuous bounds
     /// (`[0, usize::MAX]`): a query's result count can fan out beyond
@@ -255,7 +256,7 @@ impl IndexManager {
     /// let idx = IndexManager::build(&doc, IndexConfig::default());
     /// let est = idx.estimate(&Lookup::range_f64(0.0..100.0)).unwrap();
     /// let actual = idx.query(&doc, &Lookup::range_f64(0.0..100.0)).unwrap().len();
-    /// assert!(est.lower <= actual && actual <= est.upper);
+    /// assert_eq!((est.lower, est.estimate, est.upper), (actual, actual, actual));
     /// ```
     pub fn estimate(&self, lookup: &Lookup) -> Result<CardinalityEstimate, IndexError> {
         match lookup {
@@ -282,40 +283,6 @@ impl IndexManager {
             .typed_index(ty)
             .ok_or(IndexError::TypeNotIndexed(ty))?
             .estimate_range(bounds))
-    }
-
-    /// A point-in-time snapshot of every configured index's
-    /// statistics (histograms are small; this clones them), plus the
-    /// root monoid summary of each tree-backed index — the exact entry
-    /// count and key-sequence hash that make "did anything change?"
-    /// an O(1) comparison between two snapshots.
-    pub fn statistics(&self) -> Statistics {
-        Statistics {
-            string: self.string.as_ref().map(|s| s.statistics().clone()),
-            typed: self
-                .typed
-                .iter()
-                .map(|t| (t.xml_type(), t.statistics().clone()))
-                .collect(),
-            substring: self.substring.as_ref().map(|s| s.statistics().clone()),
-            string_root: self.string.as_ref().map(|s| RootSummary {
-                entries: s.len(),
-                hash: s.root_hash(),
-            }),
-            typed_roots: self
-                .typed
-                .iter()
-                .map(|t| {
-                    (
-                        t.xml_type(),
-                        RootSummary {
-                            entries: t.stored_values(),
-                            hash: t.root_hash(),
-                        },
-                    )
-                })
-                .collect(),
-        }
     }
 
     /// Structural [`xvi_btree::TreeStats`] for every tree-backed index

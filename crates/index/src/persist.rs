@@ -50,8 +50,8 @@ const CATALOG_MAGIC_V1: &[u8; 4] = b"XVC1";
 /// exactly which WAL records the checkpoint already covers — and one
 /// final u64 with the total committed-transaction count at capture, so
 /// [`IndexService::commit_count`] stays monotonic across restarts.
-/// Index statistics are *rebuilt* from the bulk-loaded trees on load,
-/// not serialized.)
+/// The trees' interior summaries and the q-gram table are *rebuilt* on
+/// load, not serialized.)
 const CATALOG_VERSION: u32 = 3;
 
 fn catalog_version_error(found: u32) -> io::Error {

@@ -27,8 +27,9 @@
 //! the tree (the baseline), while [`QueryEngine::evaluate`] runs a
 //! **cost-based plan**: every comparison predicate on every step is a
 //! candidate for lowering into a value [`Lookup`], the candidates are
-//! ranked by the maintained per-index statistics
-//! ([`IndexManager::estimate`]), and the cheapest one (or the
+//! ranked by their cardinality estimates ([`IndexManager::estimate`]:
+//! exact counts from the B+tree summaries for equality and range
+//! probes, q-gram bounds for substring probes), and the cheapest one (or the
 //! intersection of two probes on the same step, or a scan when nothing
 //! is selective) drives evaluation — value first, structure second,
 //! with the *most selective* value chosen.
@@ -124,7 +125,7 @@ pub struct Query {
 
 /// One plannable index probe: a predicate (addressed by step and
 /// predicate position) lowered into a value [`Lookup`], with its
-/// statistics-based cardinality estimate.
+/// cardinality estimate.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Probe {
     /// The lowered value lookup.
@@ -138,7 +139,7 @@ pub struct Probe {
 }
 
 /// How [`QueryEngine::evaluate`] will serve a query, chosen
-/// cost-based from the per-index statistics.
+/// cost-based from the per-index cardinality estimates.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Plan {
     /// Probe one index with the most selective lowered predicate, then
@@ -216,7 +217,7 @@ impl Default for PlannerConfig {
 }
 
 /// One enumerated candidate predicate in an [`Explanation`]: its
-/// lowered lookup, the statistics-based estimate, and the *actual*
+/// lowered lookup, its cardinality estimate, and the *actual*
 /// candidate count the probe produced — mis-estimates are visible as
 /// the gap between the two.
 #[derive(Debug, Clone, PartialEq)]
@@ -327,7 +328,7 @@ impl QueryEngine {
 
     /// Enumerates every plannable probe of a query: each comparison
     /// predicate on each step that lowers into a covered [`Lookup`],
-    /// with its cardinality estimate from the maintained statistics.
+    /// with its cardinality estimate ([`IndexManager::estimate`]).
     pub fn candidate_probes(idx: &IndexManager, query: &Query) -> Vec<Probe> {
         let mut probes = Vec::new();
         for (si, step) in query.steps.iter().enumerate() {

@@ -9,7 +9,7 @@ use xvi_btree::{BPlusTree, PagedVec, TreeStats};
 use xvi_hash::HashValue;
 use xvi_xml::NodeId;
 
-use crate::stats::{CardinalityEstimate, EquiHistogram};
+use crate::stats::CardinalityEstimate;
 
 /// The hash B+tree and per-node hash annotations.
 ///
@@ -17,10 +17,9 @@ use crate::stats::{CardinalityEstimate, EquiHistogram};
 /// cloning the index (the service's snapshot publish path) is O(pages)
 /// pointer bumps and a mutated clone copies only the touched pages.
 ///
-/// The index also maintains an [`EquiHistogram`] incrementally (every
-/// tree insert/remove is mirrored into it), so
-/// [`StringIndex::estimate_equi`] answers without touching the
-/// document.
+/// A write touches only the tree and the column: the tree's interior
+/// monoid summaries already answer [`StringIndex::estimate_equi`]
+/// exactly, so no statistics are maintained beside them.
 #[derive(Debug, Default, Clone)]
 pub struct StringIndex {
     /// `(hash raw, node arena index) → ()`.
@@ -28,11 +27,9 @@ pub struct StringIndex {
     /// Hash annotation per arena slot. Slots that are not indexed
     /// (freed nodes, comments, PIs) hold `None`.
     hashes: PagedVec<Option<HashValue>>,
-    /// Cardinality statistics, maintained through every mutation.
-    stats: EquiHistogram,
     /// During initial creation, annotations accumulate in this plain
-    /// column only (no per-slot copy-on-write check); the tree, the
-    /// statistics and `hashes` are built from it once at the end.
+    /// column only (no per-slot copy-on-write check); the tree and
+    /// `hashes` are built from it once at the end.
     staged: Option<Vec<Option<HashValue>>>,
 }
 
@@ -44,7 +41,6 @@ impl StringIndex {
         StringIndex {
             tree: BPlusTree::new(),
             hashes,
-            stats: EquiHistogram::default(),
             staged: None,
         }
     }
@@ -65,20 +61,17 @@ impl StringIndex {
         StringIndex {
             tree: self.tree.deep_clone(),
             hashes: self.hashes.deep_clone(),
-            stats: self.stats.deep_clone(),
             staged: self.staged.clone(),
         }
     }
 
     /// Ends bulk-creation mode: sorts the staged `(hash, node)` keys
-    /// once, rebuilds the histogram and bulk-loads the tree from the
-    /// sorted run, then converts the staged column into the
-    /// copy-on-write annotation column page by page.
+    /// once and bulk-loads the tree from the sorted run, then converts
+    /// the staged column into the copy-on-write annotation column page
+    /// by page.
     pub(crate) fn finish_bulk(&mut self) {
         let column = self.staged.take().expect("for_bulk first");
         let keys = sorted_keys(&column);
-        self.stats
-            .rebuild_from_sorted(keys.iter().map(|&k| (k >> 32) as u32));
         self.tree = BPlusTree::from_sorted_iter(
             keys.into_iter().map(|k| (((k >> 32) as u32, k as u32), ())),
         );
@@ -92,35 +85,6 @@ impl StringIndex {
             self.set(NodeId::from_index(node as usize), hash);
         }
         self.finish_bulk();
-    }
-
-    /// The hash's multiplicity in the tree, capped at
-    /// [`EquiHistogram::HEAVY_MIN`] (exact for tracked heavy hitters).
-    fn multiplicity_capped(&self, raw: u32) -> u32 {
-        if let Some(c) = self.stats.heavy_count(raw) {
-            return c;
-        }
-        self.tree
-            .range((raw, 0)..=(raw, u32::MAX))
-            .take(EquiHistogram::HEAVY_MIN as usize)
-            .count() as u32
-    }
-
-    /// Mirrors a tree insert into the histogram; call *before*
-    /// `tree.insert`.
-    fn note_tree_insert(&mut self, raw: u32) {
-        let prior = self.multiplicity_capped(raw);
-        self.stats.note_insert(raw, prior);
-    }
-
-    /// Mirrors a tree removal into the histogram; call *after*
-    /// `tree.remove`.
-    fn note_tree_remove(&mut self, raw: u32) {
-        let remaining = match self.stats.heavy_count(raw) {
-            Some(c) => c - 1,
-            None => self.multiplicity_capped(raw),
-        };
-        self.stats.note_remove(raw, remaining);
     }
 
     fn slot(&mut self, node: NodeId) -> &mut Option<HashValue> {
@@ -151,11 +115,8 @@ impl StringIndex {
             return;
         }
         if let Some(h) = old {
-            if self.tree.remove(&(h.raw(), node.index() as u32)).is_some() {
-                self.note_tree_remove(h.raw());
-            }
+            self.tree.remove(&(h.raw(), node.index() as u32));
         }
-        self.note_tree_insert(hash.raw());
         self.tree.insert((hash.raw(), node.index() as u32), ());
         *self.slot(node) = Some(hash);
     }
@@ -163,9 +124,7 @@ impl StringIndex {
     /// Removes `node` from the index entirely (subtree deletion).
     pub fn remove(&mut self, node: NodeId) {
         if let Some(h) = self.slot(node).take() {
-            if self.tree.remove(&(h.raw(), node.index() as u32)).is_some() {
-                self.note_tree_remove(h.raw());
-            }
+            self.tree.remove(&(h.raw(), node.index() as u32));
         }
     }
 
@@ -194,11 +153,6 @@ impl StringIndex {
         self.tree.approx_bytes() + self.hashes.len() * std::mem::size_of::<Option<HashValue>>()
     }
 
-    /// The maintained cardinality statistics.
-    pub fn statistics(&self) -> &EquiHistogram {
-        &self.stats
-    }
-
     /// **Exact** candidate count of an equality probe for `hash`,
     /// answered in O(log n) node visits from the B+tree's interior
     /// monoid summaries (see [`BPlusTree::count_range`]) — never by
@@ -210,15 +164,6 @@ impl StringIndex {
             self.tree
                 .count_range((hash.raw(), 0)..=(hash.raw(), u32::MAX)),
         )
-    }
-
-    /// The pre-summary estimate for the same probe, answered from the
-    /// maintained [`EquiHistogram`] — exact only for heavy hitters,
-    /// bounded otherwise. Kept as a comparison baseline (and exercised
-    /// by the `aggregates` benchmark); [`StringIndex::estimate_equi`]
-    /// is strictly better.
-    pub fn histogram_estimate_equi(&self, hash: HashValue) -> CardinalityEstimate {
-        self.stats.estimate_equi(hash.raw())
     }
 
     /// Order-sensitive hash of the tree's full `(hash, node)` key

@@ -20,7 +20,7 @@ use xvi_fsm::{analyzer, StateId, TypedAnalyzer, XmlType};
 use xvi_xml::NodeId;
 
 use crate::lookup::Bounds;
-use crate::stats::{CardinalityEstimate, ValueHistogram};
+use crate::stats::CardinalityEstimate;
 use crate::util::OrdF64;
 
 /// One end-inclusive/exclusive bound pair over the composite
@@ -53,18 +53,14 @@ impl NodeEntry {
 
 /// A range-lookup index for one XML type.
 ///
-/// Alongside the two trees, the index maintains an equi-depth
-/// [`ValueHistogram`] over the stored keys, kept current through every
-/// mutation and rebuilt from the value tree once enough drift
-/// accumulates — the statistics behind
-/// [`TypedIndex::estimate_range`].
+/// A write touches only the two trees: the value tree's interior
+/// monoid summaries answer [`TypedIndex::estimate_range`] exactly, so
+/// no statistics are maintained beside them.
 #[derive(Debug, Clone)]
 pub struct TypedIndex {
     ty: XmlType,
     value_tree: BPlusTree<(OrdF64, u32), ()>,
     node_tree: BPlusTree<u32, NodeEntry>,
-    /// Cardinality statistics over the value tree's keys.
-    hist: ValueHistogram,
     /// Staging area for bulk creation (one entry per node, unsorted).
     staging: Option<Vec<(u32, NodeEntry)>>,
 }
@@ -76,33 +72,29 @@ impl TypedIndex {
             ty,
             value_tree: BPlusTree::new(),
             node_tree: BPlusTree::new(),
-            hist: ValueHistogram::default(),
             staging: None,
         }
     }
 
-    /// Enters bulk-creation mode: [`TypedIndex::set`] stages entries
-    /// until [`TypedIndex::finish_bulk`] sorts and bulk-loads both
-    /// trees.
-    pub(crate) fn begin_bulk(&mut self) {
-        debug_assert!(
-            self.node_tree.is_empty(),
-            "bulk mode is for initial creation"
-        );
-        self.staging = Some(Vec::new());
+    /// Creates an empty index for `ty` in bulk-creation mode:
+    /// [`TypedIndex::set`] stages entries until
+    /// [`TypedIndex::finish_bulk`] sorts and bulk-loads both trees.
+    pub(crate) fn for_bulk(ty: XmlType) -> TypedIndex {
+        TypedIndex {
+            staging: Some(Vec::new()),
+            ..TypedIndex::new(ty)
+        }
     }
 
     /// Sorts the staged entries and bulk-loads the two B+trees.
     pub(crate) fn finish_bulk(&mut self) {
-        let mut staged = self.staging.take().expect("begin_bulk first");
+        let mut staged = self.staging.take().expect("for_bulk first");
         staged.sort_unstable_by_key(|(n, _)| *n);
         let mut values: Vec<(OrdF64, u32)> = staged
             .iter()
             .filter_map(|(n, e)| e.value().map(|v| (v, *n)))
             .collect();
         values.sort_unstable();
-        self.hist =
-            ValueHistogram::from_sorted(&values.iter().map(|&(v, _)| v.0).collect::<Vec<f64>>());
         self.node_tree = BPlusTree::from_sorted_iter(staged);
         self.value_tree = BPlusTree::from_sorted_iter(values.into_iter().map(|k| (k, ())));
     }
@@ -128,7 +120,6 @@ impl TypedIndex {
             ty: self.ty,
             value_tree: self.value_tree.deep_clone(),
             node_tree: self.node_tree.deep_clone(),
-            hist: self.hist.clone(),
             staging: self.staging.clone(),
         }
     }
@@ -169,35 +160,12 @@ impl TypedIndex {
         let new_value = entry.and_then(|e| e.value());
         if old_value != new_value {
             if let Some(v) = old_value {
-                if self.value_tree.remove(&(v, n)).is_some() {
-                    let still_present = self.key_present(v);
-                    self.hist.note_remove(v.0, still_present);
-                }
+                self.value_tree.remove(&(v, n));
             }
             if let Some(v) = new_value {
-                let was_present = self.key_present(v);
                 self.value_tree.insert((v, n), ());
-                self.hist.note_insert(v.0, was_present);
-            }
-            if self.hist.needs_rebuild() {
-                self.rebuild_histogram();
             }
         }
-    }
-
-    /// Whether any entry with key `v` exists in the value tree.
-    fn key_present(&self, v: OrdF64) -> bool {
-        self.value_tree
-            .range((v, 0)..=(v, u32::MAX))
-            .next()
-            .is_some()
-    }
-
-    /// Re-derives the equi-depth histogram from the live value tree
-    /// (drift-triggered; O(stored values), amortised over the drift).
-    fn rebuild_histogram(&mut self) {
-        let keys: Vec<f64> = self.value_tree.range(..).map(|(&(v, _), ())| v.0).collect();
-        self.hist = ValueHistogram::from_sorted(&keys);
     }
 
     /// Removes `node` from the index entirely.
@@ -251,11 +219,6 @@ impl TypedIndex {
         self.value_tree.approx_bytes() + self.node_tree.approx_bytes()
     }
 
-    /// The maintained cardinality statistics.
-    pub fn statistics(&self) -> &ValueHistogram {
-        &self.hist
-    }
-
     /// **Exact** entry count of a range probe, answered in O(log n)
     /// node visits from the value tree's interior monoid summaries
     /// (see [`BPlusTree::count_range`]) — the count equals
@@ -270,15 +233,6 @@ impl TypedIndex {
     pub fn count_range_probed(&self, bounds: &Bounds) -> (usize, usize) {
         self.value_tree
             .count_range_probed(Self::composite_bounds(bounds))
-    }
-
-    /// The pre-summary estimate for the same probe, answered from the
-    /// maintained [`ValueHistogram`] — interior buckets exactly, the
-    /// straddling buckets with guaranteed bounds. Kept as a comparison
-    /// baseline (and exercised by the `aggregates` benchmark);
-    /// [`TypedIndex::estimate_range`] is strictly better.
-    pub fn histogram_estimate_range(&self, bounds: &Bounds) -> CardinalityEstimate {
-        self.hist.estimate_range(bounds)
     }
 
     /// Order-sensitive hash of the value tree's full `(value, node)`

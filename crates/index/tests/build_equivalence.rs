@@ -136,12 +136,6 @@ fn build_matches_independent_oracles_on_scrambled_documents() {
         let bulk = idx.string_index().unwrap();
         assert_eq!(bulk.len(), one_by_one.len(), "seed {seed}");
         assert_eq!(bulk.root_hash(), one_by_one.root_hash(), "seed {seed}");
-        let (a, b) = (bulk.statistics(), one_by_one.statistics());
-        assert_eq!(
-            (a.total(), a.distinct(), a.heavy_hitters()),
-            (b.total(), b.distinct(), b.heavy_hitters()),
-            "seed {seed}"
-        );
 
         let mut image = Vec::new();
         idx.save_to(&doc, &mut image).unwrap();

@@ -1,16 +1,18 @@
-//! Statistics maintenance as a property: after *any* interleaving of
-//! insert/delete/update operations, every cardinality estimate stays
-//! within its guaranteed `[lower, upper]` bounds of the true candidate
-//! count computed by brute force — for equality probes (string index)
-//! and range probes (double index) alike.
+//! Estimate exactness under maintenance as a property: after *any*
+//! interleaving of insert/delete/update operations, every tree-backed
+//! cardinality estimate equals the true candidate count computed by
+//! brute force — `lower == estimate == upper == truth` — for equality
+//! probes (string index) and range probes (double index) alike.
 //!
 //! The mutations run through the exact maintenance entry points the
 //! service's group-commit leader drives (`update_values`,
 //! `delete_subtree`, `index_new_subtree` — see
-//! `IndexService::apply_group`), so the bounds checked here are the
-//! bounds commits preserve. A drifting histogram that misses an insert
-//! or double-counts a delete breaks them immediately, which is what
-//! this suite hunts.
+//! `IndexService::apply_group`), so the counts checked here are the
+//! counts commits preserve. The estimates come from the B+trees'
+//! interior monoid summaries (`count_range`); a summary left stale by
+//! a tree insert or remove on any of these paths breaks the equality
+//! immediately, which is what this suite hunts. (`exact_estimates`
+//! pins the same contract for value updates only.)
 
 use proptest::prelude::*;
 
@@ -34,9 +36,9 @@ enum Op {
     Insert(String),
 }
 
-/// Values drawn from a small pool so hash multiplicities actually
-/// climb past the heavy-hitter threshold, mixed with numerics so the
-/// double histogram sees inserts and removals too.
+/// Values drawn from a small pool so hash multiplicities climb high
+/// enough to span several leaves, mixed with numerics so the double
+/// index's value tree sees inserts and removals too.
 fn value_strategy() -> impl Strategy<Value = String> {
     prop_oneof![
         3 => prop_oneof![
@@ -153,8 +155,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
     /// After any interleaving of insert/delete/update operations,
-    /// every estimate stays within its guaranteed bounds of the
-    /// brute-force candidate count.
+    /// every tree-backed estimate is exact: its bounds and point
+    /// estimate all equal the brute-force candidate count.
     #[test]
     fn estimates_bound_truth_under_maintenance(case in case_strategy()) {
         let (doc, idx) = run_script(&case);
@@ -166,13 +168,9 @@ proptest! {
             let truth = idx.equi_candidates(&value).len();
             let est = idx.estimate(&Lookup::equi(value.clone())).unwrap();
             prop_assert!(
-                est.lower <= truth && truth <= est.upper,
-                "equi({value:?}): truth {truth} outside [{}, {}] (est {})",
-                est.lower, est.upper, est.estimate
-            );
-            prop_assert!(
-                est.lower <= est.estimate && est.estimate <= est.upper,
-                "equi({value:?}): estimate {} outside its own bounds", est.estimate
+                (est.lower, est.estimate, est.upper) == (truth, truth, truth),
+                "equi({value:?}): truth {truth}, estimate {} in [{}, {}]",
+                est.estimate, est.lower, est.upper
             );
         }
 
@@ -182,13 +180,9 @@ proptest! {
             let truth = idx.query(&doc, &Lookup::RangeF64(bounds)).unwrap().len();
             let est = idx.estimate(&Lookup::RangeF64(bounds)).unwrap();
             prop_assert!(
-                est.lower <= truth && truth <= est.upper,
-                "range({bounds}): truth {truth} outside [{}, {}] (est {})",
-                est.lower, est.upper, est.estimate
-            );
-            prop_assert!(
-                est.lower <= est.estimate && est.estimate <= est.upper,
-                "range({bounds}): estimate {} outside its own bounds", est.estimate
+                (est.lower, est.estimate, est.upper) == (truth, truth, truth),
+                "range({bounds}): truth {truth}, estimate {} in [{}, {}]",
+                est.estimate, est.lower, est.upper
             );
         }
     }

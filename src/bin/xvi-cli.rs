@@ -21,9 +21,9 @@
 //! Then type `help` at the prompt (interactive mode), let the `query`
 //! subcommand evaluate one mini-XPath query (with `--explain` showing
 //! the cost-based plan and estimated vs. actual cardinalities per
-//! candidate predicate), let the `stats` subcommand dump the per-index
-//! `Statistics` (histograms, heavy hitters, q-gram table) and B+tree
-//! `TreeStats` (pages/shared_pages/free_slots) of a loaded document,
+//! candidate predicate), let the `stats` subcommand dump each index's
+//! B+tree `TreeStats` (entries, depth, pages/shared_pages/free_slots,
+//! root hash) and the substring q-gram table of a loaded document,
 //! or let the `stress` subcommand drive the sharded index service with
 //! a mixed concurrent workload and report throughput **and latency
 //! percentiles** (p50/p99 for commits and reads separately;
@@ -201,7 +201,7 @@ fn main() {
             "help" => help(),
             "stats" => {
                 print_stats(&doc, &idx);
-                print_statistics(&idx);
+                print_index_trees(&idx);
             }
             "metrics" => repl_metrics(&idx, &obs),
             "trace" => {
@@ -338,8 +338,8 @@ fn explain_query(doc: &Document, idx: &IndexManager, q: &str) {
     }
 }
 
-/// `stats`: build all indices over a document and dump the maintained
-/// per-index `Statistics` plus each B+tree's `TreeStats`, then the
+/// `stats`: build all indices over a document and dump each B+tree's
+/// `TreeStats` plus the substring q-gram table, then the
 /// consolidated metrics-registry snapshot (service counters plus the
 /// per-tree storage collector) in Prometheus text form.
 fn run_stats_cmd(args: &[String]) -> Result<(), String> {
@@ -359,7 +359,7 @@ fn run_stats_cmd(args: &[String]) -> Result<(), String> {
     service
         .read("doc", |doc, idx| {
             print_stats(doc, idx);
-            print_statistics(idx);
+            print_index_trees(idx);
         })
         .expect("document just inserted");
     // A few representative probes so the query-path series are live.
@@ -393,49 +393,25 @@ fn tree_line(label: &str, t: xvi::btree::TreeStats) {
     }
 }
 
-/// Dumps the statistics subsystem's view of every configured index:
-/// histograms, heavy hitters, q-gram table, and the underlying
-/// B+trees' storage shape.
-fn print_statistics(idx: &IndexManager) {
-    let stats = idx.statistics();
-    if let (Some(h), Some(s)) = (&stats.string, idx.string_index()) {
-        println!(
-            "string statistics: {} entries, {} distinct hashes, {} heavy hitter(s) \
-             (threshold {})",
-            h.total(),
-            h.distinct(),
-            h.heavy_hitters(),
-            xvi::index::EquiHistogram::HEAVY_MIN
-        );
+/// Dumps every configured index's B+tree shape (`TreeStats`: entry
+/// count, depth, pages, root hash) and the substring index's q-gram
+/// table — the only statistics an estimate reads beside the trees.
+fn print_index_trees(idx: &IndexManager) {
+    if let Some(s) = idx.string_index() {
+        println!("string index trees:");
         tree_line("hash tree", s.tree_stats());
-        if let Some(r) = stats.string_root {
-            println!(
-                "  root summary: {} entries, sequence hash {:016x}",
-                r.entries, r.hash
-            );
-        }
     }
-    for (ty, h) in &stats.typed {
-        println!(
-            "{} statistics: equi-depth histogram, {} bucket(s) over {} value(s)",
-            ty.name(),
-            h.buckets(),
-            h.total()
-        );
-        if let Some(t) = idx.typed_index(*ty) {
+    for &ty in &idx.config().typed {
+        if let Some(t) = idx.typed_index(ty) {
+            println!("{} index trees:", ty.name());
             tree_line("value tree", t.value_tree_stats());
             tree_line("node tree", t.node_tree_stats());
         }
-        if let Some((_, r)) = stats.typed_roots.iter().find(|(t, _)| t == ty) {
-            println!(
-                "  root summary: {} entries, sequence hash {:016x}",
-                r.entries, r.hash
-            );
-        }
     }
-    if let (Some(g), Some(s)) = (&stats.substring, idx.substring_index()) {
+    if let Some(s) = idx.substring_index() {
+        let g = s.statistics();
         println!(
-            "substring statistics: {} distinct trigram(s), {} posting(s) over {} node(s)",
+            "substring q-gram table: {} distinct trigram(s), {} posting(s) over {} node(s)",
             g.distinct_grams(),
             g.total_postings(),
             s.indexed_nodes()
@@ -1152,7 +1128,7 @@ fn help() {
          \x20 like <pattern>       wildcard lookup (* and ?)\n\
          \x20 set <node-id> <val>  update a text/attribute value (index maintained)\n\
          \x20 show <node-id>       print one node\n\
-         \x20 stats                document, index and histogram/TreeStats statistics\n\
+         \x20 stats                document, index, TreeStats and q-gram statistics\n\
          \x20 metrics              Prometheus snapshot of the session's metrics registry\n\
          \x20 trace [clear]        flight recorder: slowest traced requests, stage by stage\n\
          \x20 quit"

@@ -66,7 +66,7 @@ pub mod prelude {
     pub use xvi_index::{
         Bounds, CardinalityEstimate, CommitReceipt, CommitTicket, DocSnapshot, Durability,
         IndexConfig, IndexManager, IndexService, Lookup, Plan, PlannerConfig, QueryEngine,
-        ServiceConfig, ServiceSnapshot, Statistics, TransactionalStore,
+        ServiceConfig, ServiceSnapshot, TransactionalStore,
     };
     pub use xvi_obs::{Obs, Stage, Trace};
     pub use xvi_serve::{

@@ -63,9 +63,9 @@ fn wal_runs_at_tiny_scale() {
 #[test]
 fn aggregates_runs_at_tiny_scale() {
     // Every cell asserts the summary-derived exact count identical to
-    // the materialised scan, histogram bounds containing it, and the
-    // 2·depth+1 probe budget; the speedup headline is a release-mode
-    // property at realistic scales.
+    // the materialised scan and, for range probes, the 2·depth+1 probe
+    // budget; the speedup headline is a release-mode property at
+    // realistic scales.
     experiments::run_aggregates(1, 1);
 }
 
