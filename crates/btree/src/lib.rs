@@ -40,6 +40,6 @@ mod summary;
 mod tree;
 
 pub use iter::Range;
-pub use page::{ColVec, PagedVec, PAGE_SIZE};
+pub use page::{ColVec, PagedVec, StagedPages, PAGE_SIZE};
 pub use summary::{key_hash, Summary};
 pub use tree::{BPlusTree, TreeStats, DEFAULT_ORDER};

@@ -360,6 +360,83 @@ impl<T> FromIterator<T> for PagedVec<T> {
     }
 }
 
+/// Plain paged storage for bulk creation: the fixed-size pages of a
+/// [`PagedVec`], each a bare `Vec` with no [`Arc`], so a read or a
+/// write is plain indexing with no copy-on-write check.
+/// [`StagedPages::seal`] then puts each page behind its `Arc` without
+/// moving a slot, so every page stays where it was allocated, next to
+/// whatever else was allocated while it filled.
+#[derive(Debug)]
+pub struct StagedPages<T> {
+    pages: Vec<Vec<T>>,
+    len: usize,
+}
+
+impl<T> Default for StagedPages<T> {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl<T> StagedPages<T> {
+    /// Creates empty storage.
+    pub fn new() -> StagedPages<T> {
+        StagedPages {
+            pages: Vec::new(),
+            len: 0,
+        }
+    }
+
+    /// Number of slots.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Whether no slot is stored.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// Appends a slot, opening a fresh page when the last one is full.
+    pub fn push(&mut self, value: T) {
+        if self.len.is_multiple_of(PAGE_SIZE) {
+            self.pages.push(Vec::with_capacity(PAGE_SIZE));
+        }
+        self.pages.last_mut().expect("a page has room").push(value);
+        self.len += 1;
+    }
+
+    /// Turns the pages into a [`PagedVec`]: one `Arc` per page, no slot
+    /// copied, no page detached.
+    pub fn seal(self) -> PagedVec<T> {
+        PagedVec {
+            pages: self
+                .pages
+                .into_iter()
+                .map(|slots| Arc::new(Page { slots }))
+                .collect(),
+            len: self.len,
+            detached: 0,
+        }
+    }
+}
+
+impl<T> Index<usize> for StagedPages<T> {
+    type Output = T;
+
+    #[inline]
+    fn index(&self, i: usize) -> &T {
+        &self.pages[i / PAGE_SIZE][i % PAGE_SIZE]
+    }
+}
+
+impl<T> IndexMut<usize> for StagedPages<T> {
+    #[inline]
+    fn index_mut(&mut self, i: usize) -> &mut T {
+        &mut self.pages[i / PAGE_SIZE][i % PAGE_SIZE]
+    }
+}
+
 impl<T> Index<usize> for PagedVec<T> {
     type Output = T;
 
@@ -540,6 +617,39 @@ mod tests {
             u.resize(4 + len, 7);
             assert_eq!(u.page_count(), (4 + len).div_ceil(PAGE_SIZE));
             assert_eq!(u[3 + len], 8);
+        }
+    }
+
+    #[test]
+    fn staged_pages_seal_into_whole_pages_in_place() {
+        for len in [
+            0,
+            1,
+            PAGE_SIZE - 1,
+            PAGE_SIZE,
+            PAGE_SIZE + 1,
+            5 * PAGE_SIZE + 7,
+        ] {
+            let mut s = StagedPages::new();
+            for i in 0..len {
+                s.push(i);
+            }
+            assert_eq!((s.len(), s.is_empty()), (len, len == 0));
+            for i in 0..len {
+                s[i] *= 2;
+            }
+            let first = (len > 0).then(|| &s[0] as *const usize);
+            let v = s.seal();
+            assert_packed(&v);
+            assert_eq!(
+                v.iter().copied().collect::<Vec<_>>(),
+                (0..len).map(|i| 2 * i).collect::<Vec<_>>()
+            );
+            assert_eq!(
+                first,
+                (len > 0).then(|| &v[0] as *const usize),
+                "no slot moved"
+            );
         }
     }
 

@@ -70,17 +70,18 @@ fn least_selective_last_predicate_is_not_chosen() {
     assert_eq!(fast.len(), 2, "ages cycle every 60 persons");
 }
 
-/// The heavy-hitter table makes the unselective predicate's estimate
-/// *exact*, so the planner's ranking rests on real numbers.
+/// The unselective predicate's estimate is *exact* — `count_range`
+/// over the string index's B+tree summaries — so the planner's
+/// ranking rests on real numbers.
 #[test]
-fn heavy_hitter_estimate_is_exact() {
+fn unselective_estimate_is_exact() {
     let (doc, idx) = setup(120);
     let est = idx.estimate(&Lookup::equi("Graduate School")).unwrap();
     let actual = idx
         .query(&doc, &Lookup::equi("Graduate School"))
         .unwrap()
         .len();
-    assert_eq!(est.estimate, actual, "heavy hitters are tracked exactly");
+    assert_eq!(est.estimate, actual, "equality estimates are exact");
     assert_eq!(est.lower, est.upper);
 }
 
@@ -168,8 +169,8 @@ fn scan_threshold_governs_unselective_probe() {
     let (_, idx) = setup(120);
     let q = QueryEngine::parse("//person[.//education = \"Graduate School\"]").unwrap();
     // The education probe covers every person — about a quarter of
-    // the document's nodes, exactly as its (heavy-hitter, exact)
-    // estimate says.
+    // the document's nodes, exactly as its estimate (exact through
+    // `count_range`) says.
     let est = idx.estimate(&Lookup::equi("Graduate School")).unwrap();
     assert_eq!(est.estimate, 240);
     // Under the default fraction (0.5) the probe still wins …

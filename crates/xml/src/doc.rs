@@ -2,7 +2,7 @@
 
 use std::collections::HashMap;
 
-use xvi_btree::PagedVec;
+use xvi_btree::{PagedVec, StagedPages};
 
 use crate::error::ParseError;
 use crate::node::{NameId, NodeData, NodeId, NodeKind};
@@ -31,9 +31,116 @@ use crate::node::{NameId, NodeData, NodeId, NodeKind};
 #[derive(Debug, Clone)]
 pub struct Document {
     nodes: PagedVec<NodeData>,
-    names: Vec<String>,
-    name_ids: HashMap<String, NameId>,
+    names: Names,
     free: Vec<NodeId>,
+}
+
+/// The name table: `NameId`s in first-interned order, found through a
+/// keyed (`RandomState`) hash map, so hostile names cannot force
+/// collisions.
+#[derive(Debug, Clone, Default)]
+struct Names {
+    names: Vec<String>,
+    ids: HashMap<String, NameId>,
+}
+
+impl Names {
+    fn intern(&mut self, name: &str) -> NameId {
+        if let Some(&id) = self.ids.get(name) {
+            return id;
+        }
+        let id = NameId(self.names.len() as u32);
+        self.names.push(name.to_owned());
+        self.ids.insert(name.to_owned(), id);
+        id
+    }
+
+    /// The name `id` stands for, or `None` if no name has that id.
+    fn get(&self, id: NameId) -> Option<&str> {
+        self.names.get(id.0 as usize).map(String::as_str)
+    }
+}
+
+/// Arena storage with the link logic written once over it. Two
+/// storages implement it: a [`Document`]'s paged arena, where each
+/// write goes through the page's copy-on-write check, and the plain
+/// pages a parse stages its nodes in ([`Staged`]), which no clone can
+/// see yet.
+pub(crate) trait Arena {
+    fn slot(&self, id: NodeId) -> &NodeData;
+    fn slot_mut(&mut self, id: NodeId) -> &mut NodeData;
+    /// Stores a detached node holding `kind` and returns its id.
+    fn alloc(&mut self, kind: NodeKind) -> NodeId;
+
+    /// Links detached node `child` in as the last structural child of
+    /// `parent`.
+    fn link_child(&mut self, parent: NodeId, child: NodeId) {
+        let old_last = self.slot(parent).last_child;
+        {
+            let c = self.slot_mut(child);
+            c.parent = parent;
+            c.prev_sibling = old_last;
+        }
+        if let Some(last) = old_last.get() {
+            self.slot_mut(last).next_sibling = child;
+        } else {
+            self.slot_mut(parent).first_child = child;
+        }
+        self.slot_mut(parent).last_child = child;
+    }
+
+    /// Appends a new attribute `name` holding `value` at the tail of
+    /// `parent`'s attribute chain (keeping document order), or returns
+    /// `Err` with the attribute of that name `parent` already has. The
+    /// chain is walked once, comparing `NameId`s.
+    fn link_attribute(
+        &mut self,
+        parent: NodeId,
+        name: NameId,
+        value: String,
+    ) -> Result<NodeId, NodeId> {
+        let mut tail = NodeId::NONE;
+        let mut cur = self.slot(parent).first_attr;
+        while let Some(a) = cur.get() {
+            let data = self.slot(a);
+            if matches!(data.kind, NodeKind::Attribute { name: n, .. } if n == name) {
+                return Err(a);
+            }
+            tail = a;
+            cur = data.next_sibling;
+        }
+        let attr = self.alloc(NodeKind::Attribute { name, value });
+        let a = self.slot_mut(attr);
+        a.parent = parent;
+        a.prev_sibling = tail;
+        match tail.get() {
+            Some(t) => self.slot_mut(t).next_sibling = attr,
+            None => self.slot_mut(parent).first_attr = attr,
+        }
+        Ok(attr)
+    }
+}
+
+impl Arena for Document {
+    #[inline]
+    fn slot(&self, id: NodeId) -> &NodeData {
+        self.data(id)
+    }
+
+    #[inline]
+    fn slot_mut(&mut self, id: NodeId) -> &mut NodeData {
+        &mut self.nodes[id.index()]
+    }
+
+    fn alloc(&mut self, kind: NodeKind) -> NodeId {
+        if let Some(id) = self.free.pop() {
+            self.nodes[id.index()] = NodeData::new(kind);
+            id
+        } else {
+            self.nodes.push(NodeData::new(kind));
+            NodeId((self.nodes.len() - 1) as u32)
+        }
+    }
 }
 
 impl Default for Document {
@@ -49,8 +156,7 @@ impl Document {
         nodes.push(NodeData::new(NodeKind::Document));
         Document {
             nodes,
-            names: Vec::new(),
-            name_ids: HashMap::new(),
+            names: Names::default(),
             free: Vec::new(),
         }
     }
@@ -92,23 +198,17 @@ impl Document {
 
     /// Interns `name`, returning its id.
     pub fn intern(&mut self, name: &str) -> NameId {
-        if let Some(&id) = self.name_ids.get(name) {
-            return id;
-        }
-        let id = NameId(self.names.len() as u32);
-        self.names.push(name.to_owned());
-        self.name_ids.insert(name.to_owned(), id);
-        id
+        self.names.intern(name)
     }
 
     /// Resolves an interned name.
     pub fn resolve(&self, id: NameId) -> &str {
-        &self.names[id.0 as usize]
+        &self.names.names[id.0 as usize]
     }
 
     /// Looks up a name id without interning.
     pub fn lookup_name(&self, name: &str) -> Option<NameId> {
-        self.name_ids.get(name).copied()
+        self.names.ids.get(name).copied()
     }
 
     // ----- node access ----------------------------------------------------
@@ -116,11 +216,6 @@ impl Document {
     #[inline]
     pub(crate) fn data(&self, id: NodeId) -> &NodeData {
         &self.nodes[id.index()]
-    }
-
-    #[inline]
-    pub(crate) fn data_mut(&mut self, id: NodeId) -> &mut NodeData {
-        &mut self.nodes[id.index()]
     }
 
     /// The payload of a node.
@@ -309,16 +404,6 @@ impl Document {
 
     // ----- construction ---------------------------------------------------
 
-    fn alloc(&mut self, kind: NodeKind) -> NodeId {
-        if let Some(id) = self.free.pop() {
-            self.nodes[id.index()] = NodeData::new(kind);
-            id
-        } else {
-            self.nodes.push(NodeData::new(kind));
-            NodeId((self.nodes.len() - 1) as u32)
-        }
-    }
-
     /// Creates a detached element node.
     pub fn create_element(&mut self, name: &str) -> NodeId {
         let n = self.intern(name);
@@ -354,18 +439,7 @@ impl Document {
             NodeId::NONE,
             "append_child: node is already attached"
         );
-        let old_last = self.data(parent).last_child;
-        {
-            let c = self.data_mut(child);
-            c.parent = parent;
-            c.prev_sibling = old_last;
-        }
-        if let Some(last) = old_last.get() {
-            self.data_mut(last).next_sibling = child;
-        } else {
-            self.data_mut(parent).first_child = child;
-        }
-        self.data_mut(parent).last_child = child;
+        self.link_child(parent, child);
     }
 
     /// Adds an attribute to element `parent`, or replaces the value of
@@ -378,50 +452,16 @@ impl Document {
             matches!(self.kind(parent), NodeKind::Element(_)),
             "attributes can only be set on elements"
         );
-        match self.add_attribute(parent, name, value.to_owned()) {
+        let name = self.intern(name);
+        match self.link_attribute(parent, name, value.to_owned()) {
             Ok(attr) => attr,
             Err(existing) => {
-                if let NodeKind::Attribute { value: v, .. } = &mut self.data_mut(existing).kind {
+                if let NodeKind::Attribute { value: v, .. } = &mut self.slot_mut(existing).kind {
                     *v = value.to_owned();
                 }
                 existing
             }
         }
-    }
-
-    /// Appends a new attribute `name` holding `value` at the tail of
-    /// `parent`'s attribute chain (keeping document order), or returns
-    /// `Err` with the attribute of that name `parent` already has. The
-    /// name is interned once and the chain walked once, comparing
-    /// `NameId`s.
-    pub(crate) fn add_attribute(
-        &mut self,
-        parent: NodeId,
-        name: &str,
-        value: String,
-    ) -> Result<NodeId, NodeId> {
-        let name_id = self.intern(name);
-        let mut tail = NodeId::NONE;
-        let mut cur = self.data(parent).first_attr;
-        while let Some(a) = cur.get() {
-            if matches!(self.kind(a), NodeKind::Attribute { name: n, .. } if *n == name_id) {
-                return Err(a);
-            }
-            tail = a;
-            cur = self.data(a).next_sibling;
-        }
-        let attr = self.alloc(NodeKind::Attribute {
-            name: name_id,
-            value,
-        });
-        let a = self.data_mut(attr);
-        a.parent = parent;
-        a.prev_sibling = tail;
-        match tail.get() {
-            Some(t) => self.data_mut(t).next_sibling = attr,
-            None => self.data_mut(parent).first_attr = attr,
-        }
-        Ok(attr)
     }
 
     /// Convenience: create an element, append it, return its id.
@@ -433,14 +473,7 @@ impl Document {
 
     /// Convenience: create a text node, append it, return its id.
     pub fn append_text(&mut self, parent: NodeId, content: &str) -> NodeId {
-        self.append_owned_text(parent, content.to_owned())
-    }
-
-    /// [`Document::append_text`] taking ownership of the content, so a
-    /// caller that built it (the parser's pending text) hands it over
-    /// without a copy.
-    pub(crate) fn append_owned_text(&mut self, parent: NodeId, content: String) -> NodeId {
-        let t = self.alloc(NodeKind::Text(content));
+        let t = self.create_text(content);
         self.append_child(parent, t);
         t
     }
@@ -454,7 +487,7 @@ impl Document {
     /// # Panics
     /// Panics if the node is not a text or attribute node.
     pub fn set_value(&mut self, id: NodeId, new_value: &str) -> String {
-        match &mut self.data_mut(id).kind {
+        match &mut self.slot_mut(id).kind {
             NodeKind::Text(t) => std::mem::replace(t, new_value.to_owned()),
             NodeKind::Attribute { value, .. } => std::mem::replace(value, new_value.to_owned()),
             other => panic!("set_value on non-valued node kind {other:?}"),
@@ -480,20 +513,20 @@ impl Document {
             (d.prev_sibling, d.next_sibling)
         };
         if let Some(p) = prev.get() {
-            self.data_mut(p).next_sibling = next;
+            self.slot_mut(p).next_sibling = next;
         } else if let Some(par) = parent {
             // Head of either the child chain or the attribute chain.
             if self.data(par).first_child == id {
-                self.data_mut(par).first_child = next;
+                self.slot_mut(par).first_child = next;
             } else if self.data(par).first_attr == id {
-                self.data_mut(par).first_attr = next;
+                self.slot_mut(par).first_attr = next;
             }
         }
         if let Some(n) = next.get() {
-            self.data_mut(n).prev_sibling = prev;
+            self.slot_mut(n).prev_sibling = prev;
         } else if let Some(par) = parent {
             if self.data(par).last_child == id {
-                self.data_mut(par).last_child = prev;
+                self.slot_mut(par).last_child = prev;
             }
         }
         // Free the whole subtree.
@@ -553,7 +586,7 @@ impl Document {
         }
         s.arena_bytes = self.nodes.len() * std::mem::size_of::<NodeData>()
             + s.text_bytes
-            + self.names.iter().map(|n| n.len()).sum::<usize>();
+            + self.names.names.iter().map(|n| n.len()).sum::<usize>();
         s
     }
 
@@ -561,6 +594,116 @@ impl Document {
     pub fn pre_post_view(&self) -> PrePostView {
         PrePostView::build(self)
     }
+}
+
+/// log2 of the number of slots in [`Staged`]'s name cache.
+const NAME_CACHE_BITS: u32 = 8;
+
+/// A document being shredded. Its nodes are staged in [`StagedPages`],
+/// which no clone can see yet, so each link write is a plain store
+/// with no copy-on-write check; [`Staged::finish`] seals the pages
+/// once, in place.
+///
+/// Names go through a small direct-mapped cache of `NameId`s in front
+/// of the keyed name table. A hit is confirmed by comparing bytes with
+/// the cached id's name, so it hashes and allocates nothing; a miss
+/// costs one table lookup, as interning does without the cache.
+pub(crate) struct Staged {
+    nodes: StagedPages<NodeData>,
+    names: Names,
+    name_cache: [NameId; 1 << NAME_CACHE_BITS],
+}
+
+impl Arena for Staged {
+    #[inline]
+    fn slot(&self, id: NodeId) -> &NodeData {
+        &self.nodes[id.index()]
+    }
+
+    #[inline]
+    fn slot_mut(&mut self, id: NodeId) -> &mut NodeData {
+        &mut self.nodes[id.index()]
+    }
+
+    #[inline]
+    fn alloc(&mut self, kind: NodeKind) -> NodeId {
+        self.nodes.push(NodeData::new(kind));
+        NodeId((self.nodes.len() - 1) as u32)
+    }
+}
+
+impl Staged {
+    /// A document holding only the document node.
+    pub(crate) fn new() -> Staged {
+        let mut nodes = StagedPages::new();
+        nodes.push(NodeData::new(NodeKind::Document));
+        Staged {
+            nodes,
+            names: Names::default(),
+            // No name has id u32::MAX, so an empty slot never hits.
+            name_cache: [NameId(u32::MAX); 1 << NAME_CACHE_BITS],
+        }
+    }
+
+    /// Interns `name` through the cache. Ids come out in
+    /// first-interned order, exactly as [`Document::intern`] gives them.
+    fn intern(&mut self, name: &str) -> NameId {
+        let slot = name_cache_slot(name);
+        let cached = self.name_cache[slot];
+        if self.names.get(cached) == Some(name) {
+            return cached;
+        }
+        let id = self.names.intern(name);
+        self.name_cache[slot] = id;
+        id
+    }
+
+    /// Appends a new element named `name` under `parent`.
+    pub(crate) fn append_element(&mut self, parent: NodeId, name: &str) -> NodeId {
+        let name = self.intern(name);
+        self.append(parent, NodeKind::Element(name))
+    }
+
+    /// Appends a new node holding `kind` under `parent`.
+    pub(crate) fn append(&mut self, parent: NodeId, kind: NodeKind) -> NodeId {
+        let node = self.alloc(kind);
+        self.link_child(parent, node);
+        node
+    }
+
+    /// Adds attribute `name` to `parent`, or returns `Err` with the
+    /// attribute of that name it already has
+    /// ([`Arena::link_attribute`]).
+    pub(crate) fn add_attribute(
+        &mut self,
+        parent: NodeId,
+        name: &str,
+        value: String,
+    ) -> Result<NodeId, NodeId> {
+        let name = self.intern(name);
+        self.link_attribute(parent, name, value)
+    }
+
+    /// Seals the staged nodes into a [`Document`].
+    pub(crate) fn finish(self) -> Document {
+        Document {
+            nodes: self.nodes.seal(),
+            names: self.names,
+            free: Vec::new(),
+        }
+    }
+}
+
+/// The name cache slot of `name`: a mix of its length and its first
+/// and last bytes, which tell most element names of a schema apart.
+fn name_cache_slot(name: &str) -> usize {
+    let b = name.as_bytes();
+    let (first, last) = match b {
+        [] => (0, 0),
+        [f, ..] => (*f, b[b.len() - 1]),
+    };
+    let key = (b.len() as u32) << 16 | u32::from(first) << 8 | u32::from(last);
+    (key.wrapping_mul(0x9E37_79B1) >> (32 - NAME_CACHE_BITS)) as usize
 }
 
 /// Node counts and byte sizes (Table 1 columns).
@@ -886,6 +1029,14 @@ mod tests {
         assert_eq!(deep.shared_pages(), 0);
         deep.set_value(text, "deep");
         assert_eq!(big.string_value(text), "value-7");
+    }
+
+    /// The shredder's name-cache thrash test relies on this.
+    #[test]
+    fn names_of_one_length_and_end_bytes_share_a_cache_slot() {
+        let slot = name_cache_slot("a0000z");
+        assert!((1..6_000).all(|i| name_cache_slot(&format!("a{i:04}z")) == slot));
+        assert_ne!(name_cache_slot("item"), name_cache_slot("name"));
     }
 
     #[test]

@@ -14,10 +14,20 @@
 //!   values are the *data model* values, not raw markup;
 //! * parsing is iterative (explicit stack), so document depth is
 //!   bounded by memory, not the call stack.
+//!
+//! The shredder writes nodes the way the public construction API does
+//! — both call one set of link operations — but into plain staged
+//! pages that no clone can see yet, so a link write pays no
+//! copy-on-write check. The finished arena is sealed into the
+//! document's shared pages once, without moving a node. Names are
+//! interned through a small direct-mapped cache of ids in front of the
+//! keyed name table (a hit is confirmed by comparing bytes), and an end
+//! tag is matched against the open element's name as it appeared in
+//! the input, kept on the parser's stack.
 
-use crate::doc::Document;
+use crate::doc::{Document, Staged};
 use crate::error::ParseError;
-use crate::node::NodeId;
+use crate::node::{NodeId, NodeKind};
 
 /// Parses XML text into a [`Document`].
 pub fn parse(input: &str) -> Result<Document, ParseError> {
@@ -31,9 +41,10 @@ struct Parser<'a> {
     input: &'a str,
     bytes: &'a [u8],
     pos: usize,
-    doc: Document,
-    /// Open element stack; the document node is the base.
-    stack: Vec<NodeId>,
+    doc: Staged,
+    /// Open element stack with each element's name as it appears in
+    /// the input; the document node is the base.
+    stack: Vec<(NodeId, &'a str)>,
     /// Pending character data, merged until the next non-text event
     /// and then moved (not copied) into the text node.
     text: String,
@@ -49,7 +60,7 @@ impl<'a> Parser<'a> {
             pos: 0,
             stack: Vec::new(),
             text: String::new(),
-            doc: Document::new(),
+            doc: Staged::new(),
             seen_root: false,
         }
     }
@@ -106,6 +117,11 @@ impl<'a> Parser<'a> {
         }
     }
 
+    /// The innermost open node: new nodes are appended to it.
+    fn parent(&self) -> NodeId {
+        self.stack.last().expect("stack never empty").0
+    }
+
     fn skip_ws(&mut self) {
         while matches!(self.peek(), Some(b' ' | b'\t' | b'\r' | b'\n')) {
             self.bump(1);
@@ -113,8 +129,8 @@ impl<'a> Parser<'a> {
     }
 
     fn run(mut self) -> Result<Document, ParseError> {
-        let root = self.doc.document_node();
-        self.stack.push(root);
+        // The document node, slot 0, is the base of the stack.
+        self.stack.push((NodeId(0), ""));
         while self.pos < self.bytes.len() {
             if self.peek() == Some(b'<') {
                 // CDATA merges with surrounding character data, so it
@@ -136,7 +152,7 @@ impl<'a> Parser<'a> {
         if !self.seen_root {
             return self.err("document has no root element");
         }
-        Ok(self.doc)
+        Ok(self.doc.finish())
     }
 
     /// Accumulates character data up to the next `<`, decoding
@@ -163,7 +179,7 @@ impl<'a> Parser<'a> {
         if self.text.is_empty() {
             return Ok(());
         }
-        let parent = *self.stack.last().expect("stack never empty");
+        let parent = self.parent();
         if self.stack.len() == 1 {
             // Text directly under the document node: only whitespace is
             // well-formed there.
@@ -174,7 +190,7 @@ impl<'a> Parser<'a> {
             return self.err("character data outside the root element");
         }
         let content = std::mem::take(&mut self.text);
-        self.doc.append_owned_text(parent, content);
+        self.doc.append(parent, NodeKind::Text(content));
         Ok(())
     }
 
@@ -198,9 +214,9 @@ impl<'a> Parser<'a> {
             return self.err("unterminated comment");
         };
         self.bump(3);
-        let parent = *self.stack.last().expect("stack never empty");
-        let c = self.doc.create_comment(content);
-        self.doc.append_child(parent, c);
+        let parent = self.parent();
+        self.doc
+            .append(parent, NodeKind::Comment(content.to_owned()));
         Ok(())
     }
 
@@ -243,9 +259,12 @@ impl<'a> Parser<'a> {
         self.bump(2);
         // The XML declaration is not a node in the data model.
         if !target.eq_ignore_ascii_case("xml") {
-            let parent = *self.stack.last().expect("stack never empty");
-            let pi = self.doc.create_pi(target, data.trim_end());
-            self.doc.append_child(parent, pi);
+            let parent = self.parent();
+            let pi = NodeKind::Pi {
+                target: target.to_owned(),
+                data: data.trim_end().to_owned(),
+            };
+            self.doc.append(parent, pi);
         }
         Ok(())
     }
@@ -253,7 +272,7 @@ impl<'a> Parser<'a> {
     fn start_tag(&mut self) -> Result<(), ParseError> {
         self.expect("<")?;
         let name = self.name()?;
-        let parent = *self.stack.last().expect("stack never empty");
+        let parent = self.parent();
         if self.stack.len() == 1 {
             if self.seen_root {
                 return self.err("multiple root elements");
@@ -268,7 +287,7 @@ impl<'a> Parser<'a> {
                 None => return self.err("unterminated start tag"),
                 Some(b'>') => {
                     self.bump(1);
-                    self.stack.push(element);
+                    self.stack.push((element, name));
                     return Ok(());
                 }
                 Some(b'/') => {
@@ -297,8 +316,7 @@ impl<'a> Parser<'a> {
         if self.stack.len() <= 1 {
             return self.err(format!("closing tag `</{name}>` with no open element"));
         }
-        let open = self.stack.pop().expect("checked above");
-        let open_name = self.doc.name(open).expect("stack holds elements");
+        let (_, open_name) = self.stack.pop().expect("checked above");
         if open_name != name {
             return self.err(format!(
                 "mismatched closing tag: expected `</{open_name}>`, found `</{name}>`"
