@@ -11,7 +11,7 @@
 //! last-predicate plans on multi-predicate XMark queries. Pass `wal`
 //! to run the durability sweep ([`xvi_bench::experiments::run_wal`]):
 //! durable-commit latency vs. document size, group-fsync WAL vs.
-//! per-commit full-image saves. Pass `aggregates` to run the exact-
+//! per-commit full catalog saves. Pass `aggregates` to run the exact-
 //! aggregate sweep ([`xvi_bench::experiments::run_aggregates`]):
 //! monoid-summary `count_range` vs. full scan, with identical answers
 //! and the `2·depth + 1` probe budget asserted. Pass `serve` to run the open-loop

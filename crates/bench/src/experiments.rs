@@ -647,7 +647,7 @@ pub const WAL_BATCH: usize = 8;
 const WAL_COMMITS: usize = 12;
 
 /// WAL durability experiment: durable-commit latency vs. document
-/// size, per-shard write-ahead logging vs. per-commit full-image
+/// size, per-shard write-ahead logging vs. per-commit full catalog
 /// saves.
 ///
 /// Three configurations are timed over identical workloads on a size
@@ -662,9 +662,10 @@ const WAL_COMMITS: usize = 12;
 ///   *overhead* per commit (`wal − base`, the `+fsync` column) is
 ///   O([`WAL_BATCH`]-write delta) and should stay ~flat as the
 ///   document grows (fsync latency dominates and is size-independent);
-/// * **image** — the durability story before the WAL: a full
-///   `save_catalog` after every commit, whose cost is O(catalog) and
-///   grows linearly with the document.
+/// * **save** — the durability story before the WAL: a full
+///   `save_catalog` (every document's XML plus the manifest) after
+///   every commit, whose cost is O(catalog) and grows linearly with
+///   the document.
 ///
 /// At tiny scales the WAL run also exercises recovery: the service is
 /// dropped mid-life and reopened from its log, and the recovered
@@ -674,7 +675,7 @@ const WAL_COMMITS: usize = 12;
 pub fn run_wal(permille: u32, reps: usize) {
     println!(
         "WAL — durable-commit µs vs. document size, group-fsync WAL vs. \
-         per-commit full-image save (scale {permille}‰, {reps} reps, \
+         per-commit full catalog save (scale {permille}‰, {reps} reps, \
          {WAL_BATCH} writes/commit)\n"
     );
 
@@ -685,14 +686,14 @@ pub fn run_wal(permille: u32, reps: usize) {
         ("base µs", 9),
         ("wal µs", 9),
         ("+fsync µs", 10),
-        ("image µs", 10),
+        ("save µs", 10),
         ("speedup", 8),
     ]);
     let scratch = std::env::temp_dir().join(format!("xvi-bench-wal-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&scratch);
 
     // Phase 1 — the in-memory baseline and the WAL path, for every
-    // document size. The image saves run in a second phase so their
+    // document size. The catalog saves run in a second phase so their
     // hundreds of megabytes of background writeback cannot inflate
     // the tiny WAL fsyncs measured here.
     struct Cell {
@@ -778,16 +779,16 @@ pub fn run_wal(permille: u32, reps: usize) {
         });
     }
 
-    // Phase 2 — the pre-WAL durability story: a full-image save after
-    // every commit.
+    // Phase 2 — the pre-WAL durability story: a full catalog save
+    // (XML plus manifest) after every commit.
     let mut first_over_us: Option<f64> = None;
     let mut last_over_us = 0.0f64;
     let mut last_speedup = 0.0f64;
     for (cell, &div) in cells.iter().zip(WAL_SIZE_DIVISORS) {
-        let img_dir = scratch.join(format!("img-{div}"));
+        let save_dir = scratch.join(format!("save-{div}"));
         let service = IndexService::new(ServiceConfig::with_shards(1));
         service.insert_document("d", cell.doc.clone());
-        let mut img_total = std::time::Duration::ZERO;
+        let mut save_total = std::time::Duration::ZERO;
         for w in &cell.workloads {
             let mut txn = service.begin();
             for (n, v) in w.as_pairs() {
@@ -797,23 +798,23 @@ pub fn run_wal(permille: u32, reps: usize) {
                 service
                     .commit("d", txn)
                     .expect("updates target live text nodes");
-                service.save_catalog(&img_dir).expect("full-image save");
+                service.save_catalog(&save_dir).expect("full catalog save");
             });
-            img_total += t;
+            save_total += t;
         }
 
-        let img_us = img_total.as_secs_f64() * 1e6 / cell.workloads.len() as f64;
+        let save_us = save_total.as_secs_f64() * 1e6 / cell.workloads.len() as f64;
         let over_us = (cell.wal_us - cell.base_us).max(0.0);
         first_over_us.get_or_insert(over_us);
         last_over_us = over_us;
-        last_speedup = img_us / cell.wal_us;
+        last_speedup = save_us / cell.wal_us;
         table.row(&[
             cell.nodes.to_string(),
             cell.doc_mb.clone(),
             format!("{:.1}", cell.base_us),
             format!("{:.1}", cell.wal_us),
             format!("{over_us:.1}"),
-            format!("{img_us:.1}"),
+            format!("{save_us:.1}"),
             format!("{last_speedup:.1}x"),
         ]);
     }
@@ -825,9 +826,9 @@ pub fn run_wal(permille: u32, reps: usize) {
         "\nWAL durability overhead (+fsync column: durable commit minus the\n\
          in-memory baseline) grew {growth:.1}x across a {sweep}x document-size sweep\n\
          (target: ~flat — the log record is O({WAL_BATCH}-write delta) and the group\n\
-         fsync is size-independent), while the full-image column grows with\n\
-         the document. Largest-document speedup of the WAL over per-commit\n\
-         image saves: {last_speedup:.1}x."
+         fsync is size-independent), while the full catalog save column grows\n\
+         with the document. Largest-document speedup of the WAL over\n\
+         per-commit catalog saves: {last_speedup:.1}x."
     );
 }
 

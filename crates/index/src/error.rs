@@ -54,7 +54,7 @@ pub enum IndexError {
         /// The offending length/count.
         len: u64,
     },
-    /// A length or count read from a persisted image, manifest or log
+    /// A length or count read from a persisted manifest or log
     /// record promises more data than is left in the input. The loader
     /// rejects it before allocating anything of that size.
     CorruptLength {

@@ -53,7 +53,18 @@ impl IndexManager {
     pub fn build(doc: &Document, config: IndexConfig) -> IndexManager {
         // Creation is append-only, so the B+trees are bulk-loaded from
         // sorted entry runs instead of filled by random inserts.
-        let mut mgr = IndexManager::new_empty(doc, config);
+        let mut mgr = IndexManager {
+            string: config
+                .string_index
+                .then(|| StringIndex::for_bulk(doc.arena_size())),
+            typed: config
+                .typed
+                .iter()
+                .map(|&t| TypedIndex::for_bulk(t))
+                .collect(),
+            substring: None,
+            config,
+        };
         index_subtree(
             doc,
             doc.document_node(),
@@ -70,54 +81,6 @@ impl IndexManager {
             mgr.substring = Some(SubstringIndex::build(doc));
         }
         mgr
-    }
-
-    /// Creates an index shell with the given configuration but no
-    /// computed entries, every index in bulk-creation mode: `build`
-    /// and the persistence loader fill it and finish the bulk load.
-    pub(crate) fn new_empty(doc: &Document, config: IndexConfig) -> IndexManager {
-        IndexManager {
-            string: config
-                .string_index
-                .then(|| StringIndex::for_bulk(doc.arena_size())),
-            typed: config
-                .typed
-                .iter()
-                .map(|&t| TypedIndex::for_bulk(t))
-                .collect(),
-            substring: None,
-            config,
-        }
-    }
-
-    /// Persistence loader: installs string-index entries.
-    pub(crate) fn load_string_entries(
-        &mut self,
-        entries: Vec<(u32, HashValue)>,
-    ) -> std::io::Result<()> {
-        let s = self.string.as_mut().expect("string index configured");
-        s.load_entries(entries);
-        Ok(())
-    }
-
-    /// Persistence loader: installs typed-index entries for `ty`.
-    pub(crate) fn load_typed_entries(
-        &mut self,
-        ty: XmlType,
-        entries: Vec<(u32, StateId, Option<f64>)>,
-    ) -> std::io::Result<()> {
-        let idx = self
-            .typed
-            .iter_mut()
-            .find(|t| t.xml_type() == ty)
-            .expect("typed index configured");
-        idx.load_entries(entries);
-        Ok(())
-    }
-
-    /// Persistence loader: rebuilds the trigram index from `doc`.
-    pub(crate) fn rebuild_substring_index(&mut self, doc: &Document) {
-        self.substring = Some(crate::substring::SubstringIndex::build(doc));
     }
 
     /// The active configuration.

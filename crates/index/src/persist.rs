@@ -1,39 +1,27 @@
-//! Index persistence: saving the computed annotations to a compact
-//! binary image and reloading them without re-running the creation
-//! pass.
+//! Catalog persistence: one manifest plus the serialized documents.
 //!
-//! The image stores exactly what the paper's design stores — per-node
-//! hashes for the string index and `[node, state, value]` tuples for
-//! each typed index — in node order, so loading is a single
-//! sorted-run **bulk load** per B+tree (no random inserts). The
-//! trigram substring index, when configured, is rebuilt from the
-//! document on load (its source of truth is the character data, which
-//! the document already persists).
-//!
-//! A lightweight fingerprint (node counts + the document node's hash)
-//! guards against loading an image that does not belong to the
-//! document at hand.
-//!
-//! The multi-document [`IndexService`] catalog persists on top of the
-//! same single-document images: [`IndexService::save_catalog`] writes
-//! one manifest (service config, doc ids, per-doc versions) plus one
-//! serialized document and one index image per hosted document, and
-//! [`IndexService::load_catalog`] restores the service with identical
+//! Every index annotation is derived from the document in one creation
+//! pass, so the documents are the only state a catalog stores. The
+//! multi-document [`IndexService`] persists as one manifest (service
+//! config, doc ids, per-doc versions, per-shard WAL sequence numbers)
+//! plus one serialized document per hosted document:
+//! [`IndexService::save_catalog`] writes them, and
+//! [`IndexService::load_catalog`] parses each document and builds its
+//! indices with [`IndexManager::build`] — the same function a WAL
+//! insert and its replay use — restoring the service with identical
 //! shard count, ids and versions.
 
 use std::io::{self, Read, Write};
 use std::path::Path;
 
 use xvi_fsm::XmlType;
-use xvi_hash::HashValue;
-use xvi_xml::{Document, NodeId, NodeKind};
+use xvi_xml::Document;
 
 use crate::config::IndexConfig;
 use crate::error::IndexError;
 use crate::manager::IndexManager;
 use crate::service::{IndexService, ServiceConfig};
 
-const MAGIC: &[u8; 4] = b"XVI1";
 const CATALOG_MAGIC: &[u8; 4] = b"XVC2";
 /// The version-1 magic: catalogs written before the manifest carried a
 /// version field. Recognised only to reject them with a *typed*
@@ -46,12 +34,12 @@ const CATALOG_MAGIC_V1: &[u8; 4] = b"XVC1";
 /// itself — with a new magic, so a version-1 manifest's shard count
 /// cannot alias as a version. Version 3 appends, after the document
 /// list, one u64 per shard — the write-ahead-log sequence number each
-/// shard had reached when the images were captured, so recovery knows
-/// exactly which WAL records the checkpoint already covers — and one
-/// final u64 with the total committed-transaction count at capture, so
-/// [`IndexService::commit_count`] stays monotonic across restarts.
-/// The trees' interior summaries and the q-gram table are *rebuilt* on
-/// load, not serialized.)
+/// shard had reached when the documents were captured, so recovery
+/// knows exactly which WAL records the checkpoint already covers — and
+/// one final u64 with the total committed-transaction count at capture,
+/// so [`IndexService::commit_count`] stays monotonic across restarts.
+/// No index state is serialized: every index is built from the parsed
+/// document on load.)
 const CATALOG_VERSION: u32 = 3;
 
 fn catalog_version_error(found: u32) -> io::Error {
@@ -117,15 +105,17 @@ pub(crate) fn checked_len(
 /// or WAL record parse cleanly to *wrong* data. The error's source is
 /// a typed [`IndexError::Oversize`].
 pub(crate) fn checked_u32(len: usize, what: &'static str) -> io::Result<u32> {
-    u32::try_from(len).map_err(|_| {
-        io::Error::new(
-            io::ErrorKind::InvalidInput,
-            IndexError::Oversize {
-                what,
-                len: len as u64,
-            },
-        )
-    })
+    u32::try_from(len).map_err(|_| oversize(what, len))
+}
+
+fn oversize(what: &'static str, len: usize) -> io::Error {
+    io::Error::new(
+        io::ErrorKind::InvalidInput,
+        IndexError::Oversize {
+            what,
+            len: len as u64,
+        },
+    )
 }
 
 fn type_tag(ty: XmlType) -> u8 {
@@ -154,10 +144,12 @@ fn type_from_tag(tag: u8) -> io::Result<XmlType> {
 }
 
 fn write_index_config(w: &mut impl Write, cfg: &IndexConfig) -> io::Result<()> {
+    let typed = u8::try_from(cfg.typed.len())
+        .map_err(|_| oversize("typed index count", cfg.typed.len()))?;
     w.write_all(&[
         u8::from(cfg.string_index),
         u8::from(cfg.substring_index),
-        cfg.typed.len() as u8,
+        typed,
     ])?;
     for &ty in &cfg.typed {
         w.write_all(&[type_tag(ty)])?;
@@ -179,155 +171,6 @@ fn read_index_config(r: &mut impl Read) -> io::Result<IndexConfig> {
         typed,
         substring_index: flags[1] != 0,
     })
-}
-
-impl IndexManager {
-    /// Serialises the index image for later [`IndexManager::load_from`].
-    pub fn save_to(&self, doc: &Document, mut w: impl Write) -> io::Result<()> {
-        w.write_all(MAGIC)?;
-
-        // Fingerprint: the image is only valid for this document state.
-        let stats = doc.stats();
-        write_u64(&mut w, stats.total_nodes as u64)?;
-        write_u64(&mut w, stats.text_bytes as u64)?;
-        write_u32(
-            &mut w,
-            self.hash_of(doc.document_node())
-                .unwrap_or(HashValue::EMPTY)
-                .raw(),
-        )?;
-
-        // Config.
-        let cfg = self.config();
-        write_index_config(&mut w, cfg)?;
-
-        // String section: (node, hash) in node order.
-        if let Some(s) = self.string_index() {
-            let entries: Vec<(u32, u32)> = (0..doc.arena_size())
-                .filter_map(|i| {
-                    s.hash_of(NodeId::from_index(i))
-                        .map(|h| (i as u32, h.raw()))
-                })
-                .collect();
-            write_u64(&mut w, entries.len() as u64)?;
-            for (n, h) in entries {
-                write_u32(&mut w, n)?;
-                write_u32(&mut w, h)?;
-            }
-        }
-
-        // Typed sections: (node, state, value-or-NaN) in node order.
-        for &ty in &cfg.typed {
-            let idx = self.typed_index(ty).expect("configured type");
-            let entries: Vec<(u32, u16, f64)> = (0..doc.arena_size())
-                .filter_map(|i| {
-                    let node = NodeId::from_index(i);
-                    idx.state_of(node)
-                        .map(|st| (i as u32, st, idx.value_of(node).unwrap_or(f64::NAN)))
-                })
-                .collect();
-            write_u64(&mut w, entries.len() as u64)?;
-            for (n, st, v) in entries {
-                write_u32(&mut w, n)?;
-                w.write_all(&st.to_le_bytes())?;
-                write_u64(&mut w, v.to_bits())?;
-            }
-        }
-        Ok(())
-    }
-
-    /// Reconstructs an index from a saved image, validating that it
-    /// belongs to `doc`'s current state. Reads `r` to its end: the
-    /// image is taken whole so every count in it can be checked against
-    /// the bytes actually present.
-    pub fn load_from(doc: &Document, mut r: impl Read) -> io::Result<IndexManager> {
-        let mut image = Vec::new();
-        r.read_to_end(&mut image)?;
-        IndexManager::load_image(doc, &image)
-    }
-
-    /// [`IndexManager::load_from`] over an image already in memory.
-    pub(crate) fn load_image(doc: &Document, image: &[u8]) -> io::Result<IndexManager> {
-        let mut r = image;
-        let mut magic = [0u8; 4];
-        r.read_exact(&mut magic)?;
-        if &magic != MAGIC {
-            return Err(bad("not an xvi index image"));
-        }
-
-        let stats = doc.stats();
-        if read_u64(&mut r)? != stats.total_nodes as u64 {
-            return Err(bad(
-                "node count mismatch: image is for a different document",
-            ));
-        }
-        if read_u64(&mut r)? != stats.text_bytes as u64 {
-            return Err(bad("text size mismatch: image is for a different document"));
-        }
-        let image_root_hash = read_u32(&mut r)?;
-
-        let config = read_index_config(&mut r)?;
-        let (string_index, substring_index) = (config.string_index, config.substring_index);
-        let typed_types = config.typed.clone();
-
-        // The strongest cheap staleness check: the document node's hash
-        // covers every text byte of the document, so any value change
-        // since `save_to` is detected. Recomputing it costs one pass
-        // over the character data — far less than a full re-index —
-        // and, by H(a ⧺ b) = C(H(a), H(b)), needs no copy of it: the
-        // text nodes' hashes are folded in document order.
-        if string_index {
-            let current = doc
-                .descendants(doc.document_node())
-                .filter_map(|n| match doc.kind(n) {
-                    NodeKind::Text(t) => Some(xvi_hash::hash_str(t)),
-                    _ => None,
-                })
-                .fold(HashValue::EMPTY, xvi_hash::combine);
-            if current.raw() != image_root_hash {
-                return Err(bad("root hash mismatch: stale index image"));
-            }
-        }
-
-        let mut mgr = IndexManager::new_empty(doc, config);
-
-        if string_index {
-            let n = checked_len(read_u64(&mut r)?, 8, r.len(), "string index entries")?;
-            let mut entries = Vec::with_capacity(n);
-            for _ in 0..n {
-                let node = read_u32(&mut r)?;
-                let hash = HashValue::from_raw(read_u32(&mut r)?)
-                    .ok_or_else(|| bad("corrupt hash value in image"))?;
-                if node as usize >= doc.arena_size() {
-                    return Err(bad("node id out of range in image"));
-                }
-                entries.push((node, hash));
-            }
-            mgr.load_string_entries(entries)?;
-        }
-
-        for ty in typed_types {
-            let n = checked_len(read_u64(&mut r)?, 14, r.len(), "typed index entries")?;
-            let mut entries = Vec::with_capacity(n);
-            for _ in 0..n {
-                let node = read_u32(&mut r)?;
-                let mut st = [0u8; 2];
-                r.read_exact(&mut st)?;
-                let state = u16::from_le_bytes(st);
-                let value = f64::from_bits(read_u64(&mut r)?);
-                if node as usize >= doc.arena_size() {
-                    return Err(bad("node id out of range in image"));
-                }
-                entries.push((node, state, (!value.is_nan()).then_some(value)));
-            }
-            mgr.load_typed_entries(ty, entries)?;
-        }
-
-        if substring_index {
-            mgr.rebuild_substring_index(doc);
-        }
-        Ok(mgr)
-    }
 }
 
 pub(crate) fn write_str(w: &mut impl Write, s: &str) -> io::Result<()> {
@@ -382,19 +225,18 @@ pub(crate) fn sweep_tmp_files(dir: &Path) -> io::Result<()> {
     Ok(())
 }
 
-/// Removes `doc<N>.xml` / `doc<N>.idx` pairs with `N >= keep` — the
-/// orphans a re-save into a directory that previously held more
-/// documents would otherwise leave paired with the new manifest.
+/// Removes `doc<N>.xml` files with `N >= keep` — the orphans a re-save
+/// into a directory that previously held more documents would
+/// otherwise leave paired with the new manifest — and every
+/// `doc<N>.idx`, the index image older catalogs stored beside each
+/// document and nothing reads any more.
 fn remove_orphan_docs(dir: &Path, keep: usize) -> io::Result<()> {
     for entry in std::fs::read_dir(dir)? {
         let path = entry?.path();
         let Some(name) = path.file_name().and_then(|n| n.to_str()) else {
             continue;
         };
-        let Some(stem) = name
-            .strip_suffix(".xml")
-            .or_else(|| name.strip_suffix(".idx"))
-        else {
+        let Some((stem, ext)) = name.rsplit_once('.') else {
             continue;
         };
         let Some(n) = stem
@@ -403,15 +245,15 @@ fn remove_orphan_docs(dir: &Path, keep: usize) -> io::Result<()> {
         else {
             continue;
         };
-        if n >= keep {
+        if ext == "idx" || (ext == "xml" && n >= keep) {
             std::fs::remove_file(&path)?;
         }
     }
     Ok(())
 }
 
-/// Writes one captured catalog state into `dir`: per-doc images plus
-/// the version-3 manifest (which carries `seqs`, the per-shard WAL
+/// Writes one captured catalog state into `dir`: per-doc XML plus the
+/// version-3 manifest (which carries `seqs`, the per-shard WAL
 /// sequence numbers the capture observed — all zeros for a service
 /// without a WAL — and `commits`, the committed-transaction total at
 /// capture). Shared by [`IndexService::save_catalog`] and the WAL
@@ -428,9 +270,6 @@ pub(crate) fn save_snapshot_to(
     for (i, (_, doc_snap)) in snap.iter().enumerate() {
         write_file_atomically(dir, &format!("doc{i}.xml"), |w| {
             w.write_all(xvi_xml::serialize::to_string(doc_snap.document()).as_bytes())
-        })?;
-        write_file_atomically(dir, &format!("doc{i}.idx"), |w| {
-            doc_snap.index().save_to(doc_snap.document(), w)
         })?;
     }
     write_file_atomically(dir, "catalog.xvi", |manifest| {
@@ -458,12 +297,12 @@ pub(crate) fn save_snapshot_to(
 /// A parsed catalog/checkpoint directory: everything
 /// [`IndexService::load_catalog`] needs to rebuild a service, plus the
 /// per-shard WAL sequence numbers recovery needs to know which log
-/// records the images already cover.
+/// records the checkpoint already covers.
 pub(crate) struct Checkpoint {
     pub(crate) shards: usize,
     pub(crate) max_group: usize,
     pub(crate) index: IndexConfig,
-    /// Per-shard WAL sequence captured when the images were saved;
+    /// Per-shard WAL sequence captured when the documents were saved;
     /// recovery replays only records with a larger sequence.
     pub(crate) seqs: Vec<u64>,
     /// Total committed transactions at capture time; restore seeds
@@ -474,8 +313,11 @@ pub(crate) struct Checkpoint {
     pub(crate) docs: Vec<(String, u64, Document, IndexManager)>,
 }
 
-/// Reads the manifest and every per-doc image under `dir` (also
-/// sweeping stranded `*.tmp` files from an earlier torn save).
+/// Reads the manifest and parses every per-doc XML file under `dir`,
+/// building each document's indices with the manifest's
+/// [`IndexConfig`] (also sweeping stranded `*.tmp` files from an
+/// earlier torn save). Any `doc<N>.idx` left by an older catalog is
+/// ignored.
 pub(crate) fn read_checkpoint(dir: &Path) -> io::Result<Checkpoint> {
     let manifest = std::fs::read(dir.join("catalog.xvi"))?;
     let mut manifest = manifest.as_slice();
@@ -503,8 +345,7 @@ pub(crate) fn read_checkpoint(dir: &Path) -> io::Result<Checkpoint> {
         let xml = std::fs::read_to_string(dir.join(format!("doc{i}.xml")))?;
         let doc = Document::parse(&xml)
             .map_err(|e| bad(format!("catalog document {id:?} failed to parse: {e}")))?;
-        let image = std::fs::read(dir.join(format!("doc{i}.idx")))?;
-        let idx = IndexManager::load_image(&doc, &image)?;
+        let idx = IndexManager::build(&doc, index.clone());
         docs.push((id, version, doc, idx));
     }
     let mut seqs = Vec::with_capacity(shards.min(1 << 16));
@@ -528,19 +369,21 @@ impl IndexService {
     /// (shard count, group limit, index config), every document id and
     /// its committed version — plus the per-shard WAL sequence numbers
     /// when the service has a write-ahead log — and one serialized
-    /// document (`doc<i>.xml`) and one index image (`doc<i>.idx`) per
-    /// hosted document. The save works from one [`ServiceSnapshot`],
-    /// so a concurrently committing service persists a consistent
-    /// per-document prefix of the commit history.
+    /// document (`doc<i>.xml`) per hosted document. No index state is
+    /// written: [`IndexService::load_catalog`] rebuilds it. The save
+    /// works from one [`ServiceSnapshot`], so a concurrently committing
+    /// service persists a consistent per-document prefix of the commit
+    /// history.
     ///
     /// Every file is written to a temporary sibling, fsynced, renamed
     /// into place and made durable with a directory fsync, with the
     /// manifest renamed **last** — a crash or full disk mid-save never
-    /// truncates or tears an existing manifest or image. Stranded
-    /// `*.tmp` files from an earlier torn save are swept, and
-    /// `doc<N>.*` files beyond the new manifest's document count are
-    /// deleted, so the directory is self-consistent after every save —
-    /// re-saving a shrunk catalog in place is safe.
+    /// truncates or tears an existing manifest or document. Stranded
+    /// `*.tmp` files from an earlier torn save are swept, `doc<N>.xml`
+    /// files beyond the new manifest's document count are deleted, and
+    /// so is every `doc<N>.idx` an older catalog left, so the directory
+    /// is self-consistent after every save — re-saving a shrunk catalog
+    /// in place is safe.
     ///
     /// [`ServiceSnapshot`]: crate::ServiceSnapshot
     pub fn save_catalog(&self, dir: &Path) -> io::Result<()> {
@@ -555,12 +398,12 @@ impl IndexService {
     /// Restores a service persisted by [`IndexService::save_catalog`]:
     /// shard count, group limit, index configuration, document ids and
     /// per-document versions all round-trip. Each document is reparsed
-    /// and its indices bulk-loaded from the saved image (with the
-    /// image's staleness fingerprint still enforced).
+    /// and its indices built from it with the saved index
+    /// configuration, in the creation pass [`IndexManager::build`].
     ///
     /// The restored service is **ephemeral** (no write-ahead log) and
     /// the saved WAL sequence numbers are ignored: this is the plain
-    /// full-image restore. To reopen a WAL-backed service — checkpoint
+    /// full-catalog restore. To reopen a WAL-backed service — checkpoint
     /// plus replay of the durable log suffix — use
     /// [`IndexService::open`] with [`Durability::Wal`].
     ///
@@ -586,127 +429,6 @@ impl IndexService {
 mod tests {
     use super::*;
     use crate::Lookup;
-    use xvi_datagen::Dataset;
-
-    fn setup() -> (Document, IndexManager) {
-        let doc = Document::parse(&Dataset::XMark(1).generate(5)).unwrap();
-        let cfg =
-            IndexConfig::with_types(&[XmlType::Double, XmlType::DateTime]).with_substring_index();
-        let idx = IndexManager::build(&doc, cfg);
-        (doc, idx)
-    }
-
-    #[test]
-    fn save_load_roundtrip() {
-        let (doc, idx) = setup();
-        let mut image = Vec::new();
-        idx.save_to(&doc, &mut image).unwrap();
-        let loaded = IndexManager::load_from(&doc, image.as_slice()).unwrap();
-        loaded.verify_against(&doc).unwrap();
-        // Same answers.
-        assert_eq!(
-            idx.query(&doc, &Lookup::range_f64(0.0..100.0)).unwrap(),
-            loaded.query(&doc, &Lookup::range_f64(0.0..100.0)).unwrap()
-        );
-        assert_eq!(
-            idx.query(&doc, &Lookup::equi("Creditcard")).unwrap(),
-            loaded.query(&doc, &Lookup::equi("Creditcard")).unwrap()
-        );
-        assert_eq!(
-            idx.query(&doc, &Lookup::contains("mailto")).unwrap(),
-            loaded.query(&doc, &Lookup::contains("mailto")).unwrap()
-        );
-    }
-
-    #[test]
-    fn loaded_index_stays_updatable() {
-        let (mut doc, idx) = setup();
-        let mut image = Vec::new();
-        idx.save_to(&doc, &mut image).unwrap();
-        let mut loaded = IndexManager::load_from(&doc, image.as_slice()).unwrap();
-
-        let some_text = doc
-            .descendants(doc.document_node())
-            .find(|&n| matches!(doc.kind(n), xvi_xml::NodeKind::Text(_)))
-            .unwrap();
-        loaded.update_value(&mut doc, some_text, "42.5").unwrap();
-        loaded.verify_against(&doc).unwrap();
-    }
-
-    #[test]
-    fn rejects_images_for_other_documents() {
-        let (doc, idx) = setup();
-        let mut image = Vec::new();
-        idx.save_to(&doc, &mut image).unwrap();
-        let other = Document::parse("<tiny>doc</tiny>").unwrap();
-        let err = IndexManager::load_from(&other, image.as_slice()).unwrap_err();
-        assert!(err.to_string().contains("different document"), "{err}");
-    }
-
-    #[test]
-    fn rejects_stale_images_after_updates() {
-        let (mut doc, idx) = setup();
-        let mut image = Vec::new();
-        idx.save_to(&doc, &mut image).unwrap();
-        // Mutate the document without going through the index: the
-        // fingerprint counts stay equal (same-length value) but the
-        // root hash changes.
-        let text = doc
-            .descendants(doc.document_node())
-            .find(|&n| matches!(doc.kind(n), xvi_xml::NodeKind::Text(t) if t.len() >= 2))
-            .unwrap();
-        let old = doc.string_value(text);
-        let mut new = old.into_bytes();
-        new.swap(0, 1);
-        let swapped = String::from_utf8(new).unwrap();
-        let reverted = doc.set_value(text, &swapped);
-        if swapped != reverted {
-            let err = IndexManager::load_from(&doc, image.as_slice()).unwrap_err();
-            assert!(err.to_string().contains("stale"), "{err}");
-        }
-    }
-
-    #[test]
-    fn rejects_images_after_a_one_byte_text_change() {
-        let (doc, idx) = setup();
-        let mut image = Vec::new();
-        idx.save_to(&doc, &mut image).unwrap();
-        let texts: Vec<NodeId> = doc
-            .descendants(doc.document_node())
-            .filter(|&n| matches!(doc.kind(n), xvi_xml::NodeKind::Text(_)))
-            .collect();
-        let (first, last) = (texts[0], texts[texts.len() - 1]);
-        let mut checked = 0;
-        for text in [first, texts[texts.len() / 2], last] {
-            let value = doc.string_value(text);
-            // Every byte position of the value, so both block-aligned
-            // and tail bytes of the hash kernel are covered.
-            for at in 0..value.len().min(60) {
-                if !value.is_char_boundary(at) || !value.is_char_boundary(at + 1) {
-                    continue;
-                }
-                let mut bytes = value.clone().into_bytes();
-                bytes[at] = if bytes[at] == b'x' { b'y' } else { b'x' };
-                let changed = String::from_utf8(bytes).unwrap();
-                let mut stale = doc.clone();
-                stale.set_value(text, &changed);
-                assert_eq!(stale.stats(), doc.stats(), "same fingerprint counts");
-                let err = IndexManager::load_from(&stale, image.as_slice()).unwrap_err();
-                assert!(err.to_string().contains("stale"), "{err}");
-                checked += 1;
-            }
-        }
-        assert!(checked > 0);
-        // The unchanged document still loads.
-        IndexManager::load_from(&doc, image.as_slice()).unwrap();
-    }
-
-    #[test]
-    fn rejects_garbage() {
-        let doc = Document::parse("<a/>").unwrap();
-        assert!(IndexManager::load_from(&doc, &b"not an image"[..]).is_err());
-        assert!(IndexManager::load_from(&doc, &b"XVI1"[..]).is_err()); // truncated
-    }
 
     /// A scratch directory under the system temp dir, removed on drop.
     struct ScratchDir(std::path::PathBuf);
@@ -848,6 +570,51 @@ mod tests {
         assert_eq!(checked_u32(u32::MAX as usize, "x").unwrap(), u32::MAX);
     }
 
+    /// The manifest stores the typed-index count in one byte: a config
+    /// with more entries must be refused, not written as a count that
+    /// parses back to fewer types.
+    #[test]
+    fn oversize_typed_index_count_is_rejected_with_a_typed_error() {
+        let scratch = ScratchDir::new("catalog-typed-count");
+        let service = IndexService::new(ServiceConfig {
+            index: IndexConfig::with_types(&[XmlType::Double; 256]),
+            ..ServiceConfig::default()
+        });
+        let err = service.save_catalog(&scratch.0).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
+        let source = err
+            .get_ref()
+            .and_then(|e| e.downcast_ref::<IndexError>())
+            .expect("typed Oversize source");
+        assert!(
+            matches!(
+                source,
+                IndexError::Oversize {
+                    what: "typed index count",
+                    len: 256
+                }
+            ),
+            "{source:?}"
+        );
+        assert!(!scratch.0.join("catalog.xvi").exists());
+        assert!(!scratch.0.join("catalog.xvi.tmp").exists());
+
+        // One entry fewer still fits the byte and round-trips.
+        let index = IndexConfig::with_types(&[XmlType::Double; 255]);
+        let service = IndexService::new(ServiceConfig {
+            index: index.clone(),
+            ..ServiceConfig::default()
+        });
+        service.save_catalog(&scratch.0).unwrap();
+        assert_eq!(
+            IndexService::load_catalog(&scratch.0)
+                .unwrap()
+                .config()
+                .index,
+            index
+        );
+    }
+
     fn corrupt_length_of(err: &io::Error) -> (&'static str, u64) {
         assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
         match err.get_ref().and_then(|e| e.downcast_ref::<IndexError>()) {
@@ -862,26 +629,6 @@ mod tests {
     /// would otherwise abort in the allocator).
     #[test]
     fn corrupt_length_fields_are_rejected_before_allocating() {
-        let (doc, idx) = setup();
-        let mut image = Vec::new();
-        idx.save_to(&doc, &mut image).unwrap();
-        // magic, node count, text bytes, root hash, config (3 flag
-        // bytes + 2 type tags), then the string-entry count.
-        let string_count = 4 + 8 + 8 + 4 + 3 + 2;
-        let n = u64::from_le_bytes(image[string_count..string_count + 8].try_into().unwrap());
-        let typed_count = string_count + 8 + 8 * n as usize;
-        for (at, what) in [
-            (string_count, "string index entries"),
-            (typed_count, "typed index entries"),
-        ] {
-            for bogus in [u64::MAX, (n + 1) << 40] {
-                let mut bad_image = image.clone();
-                bad_image[at..at + 8].copy_from_slice(&bogus.to_le_bytes());
-                let err = IndexManager::load_from(&doc, bad_image.as_slice()).unwrap_err();
-                assert_eq!(corrupt_length_of(&err).0, what);
-            }
-        }
-
         let mut short: &[u8] = &[0xff, 0xff, 0xff, 0xff, b'a', b'b'];
         let err = read_str(&mut short).unwrap_err();
         assert_eq!(corrupt_length_of(&err), ("string length", u32::MAX as u64));

@@ -79,7 +79,7 @@ pub type DocId = String;
 pub enum Durability {
     /// No persistence: commits live only in memory (the default, and
     /// the previous behaviour). [`IndexService::save_catalog`] remains
-    /// available for explicit full-image saves.
+    /// available for explicit full-catalog saves.
     #[default]
     Ephemeral,
     /// Per-shard write-ahead logging under the given directory: the
@@ -89,8 +89,8 @@ pub enum Durability {
     /// not O(catalog). [`IndexService::open`] recovers by loading the
     /// last checkpoint in the same directory (if any) and replaying
     /// each shard's log, tolerating a torn final record;
-    /// [`IndexService::checkpoint`] bounds replay time by saving fresh
-    /// images and truncating the logs.
+    /// [`IndexService::checkpoint`] bounds replay time by saving the
+    /// current documents and truncating the logs.
     Wal(PathBuf),
 }
 
@@ -501,7 +501,7 @@ struct Shard {
     /// Transactions committed into this shard's documents. Kept
     /// per-shard (the leader increments it while holding the shard's
     /// wal mutex) so a checkpoint capture reads a count exactly
-    /// consistent with the shard's images and WAL sequence; only the
+    /// consistent with the shard's documents and WAL sequence; only the
     /// sum across shards is meaningful to callers.
     commits: AtomicU64,
 }
@@ -548,8 +548,8 @@ impl Shard {
 pub struct IndexService {
     shards: Arc<Vec<Shard>>,
     config: ServiceConfig,
-    /// Serializes whole checkpoint/save cycles (capture → write images
-    /// and manifest → truncate logs). Without it, two interleaved
+    /// Serializes whole checkpoint/save cycles (capture → write
+    /// documents and manifest → truncate logs). Without it, two interleaved
     /// checkpoints could truncate the logs past the manifest that ends
     /// up on disk, leaving acked commits unrecoverable. Lock order:
     /// this mutex strictly before any shard's wal mutex.
@@ -837,10 +837,11 @@ impl IndexService {
     /// this is just an empty service. For [`Durability::Wal`] it
     /// restores the durable state from the log directory:
     ///
-    /// 1. if a checkpoint (`catalog.xvi` + per-doc images) exists, it
-    ///    is loaded — and its shard count, group limit and index
-    ///    config **override** the passed config, since the logs are
-    ///    sharded by the persisted shard count;
+    /// 1. if a checkpoint (`catalog.xvi` + per-doc XML) exists, each
+    ///    document is parsed and its indices built — and the
+    ///    checkpoint's shard count, group limit and index config
+    ///    **override** the passed config, since the logs are sharded by
+    ///    the persisted shard count;
     /// 2. each shard's `wal<i>.log` is scanned, a torn final record
     ///    (crash mid-append) is truncated off, and every record newer
     ///    than the checkpoint's captured sequence is replayed.
@@ -981,7 +982,7 @@ impl IndexService {
     /// sequence, commit total)` triple for checkpointing. Each shard's
     /// handles, sequence and commit counter are read under that
     /// shard's wal mutex — the same mutex the leader holds from record
-    /// append through publish — so the captured images reflect
+    /// append through publish — so the captured documents reflect
     /// **exactly** the records with `seq <= seqs[shard]`: never a
     /// logged-but-unpublished batch, never a published-but-unlogged
     /// one. (For ephemeral services the sequences are all zero.)
@@ -1004,8 +1005,8 @@ impl IndexService {
         (ServiceSnapshot { docs }, seqs, commits)
     }
 
-    /// Checkpoints a [`Durability::Wal`] service: saves fresh per-doc
-    /// images plus the manifest into the WAL directory (via the same
+    /// Checkpoints a [`Durability::Wal`] service: saves every document
+    /// as XML plus the manifest into the WAL directory (via the same
     /// crash-safe writer as [`IndexService::save_catalog`]), then
     /// truncates each shard's log up to the captured sequence number.
     /// Recovery time after a checkpoint is proportional to the commits
@@ -1013,7 +1014,7 @@ impl IndexService {
     ///
     /// Whole checkpoints are serialized against each other (and
     /// against [`IndexService::save_catalog`]): without that, a slow
-    /// checkpoint could overwrite the manifest with images older than
+    /// checkpoint could overwrite the manifest with documents older than
     /// the log suffix a faster one already truncated, losing acked
     /// commits.
     ///

@@ -78,15 +78,6 @@ impl StringIndex {
         self.hashes = column.into_iter().collect();
     }
 
-    /// Persistence loader: installs `(node, hash)` annotations into an
-    /// index in bulk-creation mode and finishes the bulk load.
-    pub(crate) fn load_entries(&mut self, entries: Vec<(u32, HashValue)>) {
-        for (node, hash) in entries {
-            self.set(NodeId::from_index(node as usize), hash);
-        }
-        self.finish_bulk();
-    }
-
     fn slot(&mut self, node: NodeId) -> &mut Option<HashValue> {
         if node.index() >= self.hashes.len() {
             self.hashes.resize(node.index() + 1, None);

@@ -99,15 +99,6 @@ impl TypedIndex {
         self.value_tree = BPlusTree::from_sorted_iter(values.into_iter().map(|k| (k, ())));
     }
 
-    /// Persistence loader: installs `(node, state, value)` tuples into
-    /// an index in bulk-creation mode and finishes the bulk load.
-    pub(crate) fn load_entries(&mut self, entries: Vec<(u32, StateId, Option<f64>)>) {
-        for (n, st, v) in entries {
-            self.set(NodeId::from_index(n as usize), Some(st), v);
-        }
-        self.finish_bulk();
-    }
-
     /// The indexed type.
     pub fn xml_type(&self) -> XmlType {
         self.ty

@@ -506,7 +506,7 @@ impl ShardWal {
     }
 
     /// Drops every record with `seq <= keep_after` (they are covered
-    /// by a checkpoint image) by atomically rewriting the log with the
+    /// by a checkpoint) by atomically rewriting the log with the
     /// kept suffix: tmp sibling → fsync → rename → directory fsync.
     pub(crate) fn truncate_through(&mut self, keep_after: u64) -> io::Result<()> {
         self.check_usable()?;

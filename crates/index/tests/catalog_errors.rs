@@ -2,10 +2,9 @@
 //! version-skewed and incomplete catalogs must come back as typed
 //! errors — never panics, never a mis-parsed service.
 
-use std::io::Write as _;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
-use xvi_index::{Document, IndexError, IndexService, ServiceConfig};
+use xvi_index::{Document, IndexError, IndexService, Lookup, ServiceConfig, XmlType};
 
 /// A scratch directory under the system temp dir, removed on drop.
 struct ScratchDir(PathBuf);
@@ -117,39 +116,11 @@ fn version_one_magic_is_rejected_with_a_typed_error() {
 }
 
 #[test]
-fn missing_per_doc_index_image_is_a_typed_error() {
-    let scratch = saved_catalog("catalog-missing-idx");
-    // Two documents were saved as doc0/doc1; removing either image
-    // must fail the load with NotFound, not panic.
-    std::fs::remove_file(scratch.0.join("doc1.idx")).unwrap();
-    let err = IndexService::load_catalog(&scratch.0).unwrap_err();
-    assert_eq!(err.kind(), std::io::ErrorKind::NotFound, "{err}");
-}
-
-#[test]
 fn missing_per_doc_document_is_a_typed_error() {
     let scratch = saved_catalog("catalog-missing-xml");
     std::fs::remove_file(scratch.0.join("doc0.xml")).unwrap();
     let err = IndexService::load_catalog(&scratch.0).unwrap_err();
     assert_eq!(err.kind(), std::io::ErrorKind::NotFound, "{err}");
-}
-
-#[test]
-fn truncated_index_image_is_a_typed_error() {
-    let scratch = saved_catalog("catalog-torn-idx");
-    let image = scratch.0.join("doc0.idx");
-    let bytes = std::fs::read(&image).unwrap();
-    let mut f = std::fs::File::create(&image).unwrap();
-    f.write_all(&bytes[..bytes.len() / 2]).unwrap();
-    drop(f);
-    let err = IndexService::load_catalog(&scratch.0).unwrap_err();
-    assert!(
-        matches!(
-            err.kind(),
-            std::io::ErrorKind::UnexpectedEof | std::io::ErrorKind::InvalidData
-        ),
-        "{err}"
-    );
 }
 
 #[test]
@@ -172,9 +143,9 @@ fn stranded_tmp_files_are_swept_on_save_and_load() {
     assert!(!scratch.0.join("doc7.xml.tmp").exists(), "load sweeps");
     assert!(!scratch.0.join("catalog.xvi.tmp").exists(), "load sweeps");
 
-    std::fs::write(scratch.0.join("doc9.idx.tmp"), b"torn again").unwrap();
+    std::fs::write(scratch.0.join("doc9.xml.tmp"), b"torn again").unwrap();
     loaded.save_catalog(&scratch.0).unwrap();
-    assert!(!scratch.0.join("doc9.idx.tmp").exists(), "save sweeps");
+    assert!(!scratch.0.join("doc9.xml.tmp").exists(), "save sweeps");
 }
 
 /// Re-saving a shrunk catalog into the same directory must delete the
@@ -184,17 +155,14 @@ fn stranded_tmp_files_are_swept_on_save_and_load() {
 fn shrinking_resave_removes_orphaned_doc_files() {
     let scratch = saved_catalog("catalog-orphans");
     assert!(scratch.0.join("doc1.xml").exists());
-    assert!(scratch.0.join("doc1.idx").exists());
 
     let service = IndexService::load_catalog(&scratch.0).unwrap();
     assert!(service.remove_document("beta").is_some());
     service.save_catalog(&scratch.0).unwrap();
-    for orphan in ["doc1.xml", "doc1.idx"] {
-        assert!(
-            !scratch.0.join(orphan).exists(),
-            "{orphan} must be deleted by the shrinking re-save"
-        );
-    }
+    assert!(
+        !scratch.0.join("doc1.xml").exists(),
+        "doc1.xml must be deleted by the shrinking re-save"
+    );
     // The shrunk directory loads cleanly and holds exactly one doc.
     let reloaded = IndexService::load_catalog(&scratch.0).unwrap();
     assert_eq!(reloaded.doc_ids(), vec!["alpha"]);
@@ -212,4 +180,92 @@ fn current_version_round_trips() {
             .read(&id, |doc, idx| idx.verify_against(doc).unwrap())
             .unwrap();
     }
+}
+
+/// The file names in `dir`, sorted.
+fn file_names(dir: &Path) -> Vec<String> {
+    let mut names: Vec<String> = std::fs::read_dir(dir)
+        .unwrap()
+        .map(|e| e.unwrap().file_name().into_string().unwrap())
+        .collect();
+    names.sort();
+    names
+}
+
+/// An index image (`doc0.idx`) as catalogs stored beside each
+/// document before indices were rebuilt on open: the image of
+/// `saved_catalog`'s first document under the default index config.
+const LEGACY_IMAGE: &[u8] = include_bytes!("fixtures/legacy_doc0.idx");
+
+/// A directory in the older layout — the same manifest and documents,
+/// plus one index image per document — still opens: the images are
+/// ignored, even a garbage one, and the first checkpoint deletes them.
+#[test]
+fn legacy_index_images_are_ignored_and_swept() {
+    let scratch = saved_catalog("catalog-legacy-images");
+    std::fs::write(scratch.0.join("doc0.idx"), LEGACY_IMAGE).unwrap();
+    std::fs::write(scratch.0.join("doc1.idx"), b"not an index image").unwrap();
+    let original = IndexService::load_catalog(&scratch.0).unwrap();
+
+    let reopened = IndexService::open(ServiceConfig::with_shards(2).with_wal(&scratch.0)).unwrap();
+    assert_eq!(reopened.doc_ids(), vec!["alpha", "beta"]);
+    for id in reopened.doc_ids() {
+        reopened
+            .read(&id, |doc, idx| idx.verify_against(doc).unwrap())
+            .unwrap();
+    }
+    let fresh = IndexService::new(ServiceConfig::with_shards(2));
+    for (id, xml) in [
+        ("alpha", "<person><name>Arthur</name><age>42</age></person>"),
+        ("beta", "<log><n>17</n><n>18</n></log>"),
+    ] {
+        fresh.insert_document(id, Document::parse(xml).unwrap());
+    }
+    for lookup in [
+        Lookup::equi("Arthur"),
+        Lookup::equi("17"),
+        Lookup::range_f64(0.0..=100.0),
+        Lookup::typed_eq(XmlType::Double, 18.0),
+    ] {
+        let (fresh_all, reopened_all) = (fresh.snapshot_all(), reopened.snapshot_all());
+        let want = fresh_all.query(&lookup);
+        assert_eq!(reopened_all.query(&lookup), want, "{lookup}");
+        assert_eq!(original.snapshot_all().query(&lookup), want, "{lookup}");
+    }
+
+    reopened.checkpoint().unwrap();
+    let names = file_names(&scratch.0);
+    assert!(
+        names.iter().all(|n| !n.ends_with(".idx")),
+        "a checkpoint leaves no index image: {names:?}"
+    );
+    let again = IndexService::open(ServiceConfig::with_shards(2).with_wal(&scratch.0)).unwrap();
+    assert_eq!(again.doc_ids(), vec!["alpha", "beta"]);
+}
+
+/// A checkpoint holds the manifest, one XML file per document and one
+/// log per shard — nothing derived from the documents.
+#[test]
+fn checkpoint_directory_holds_manifest_documents_and_logs_only() {
+    let scratch = ScratchDir::new("catalog-layout");
+    let service = IndexService::open(ServiceConfig::with_shards(2).with_wal(&scratch.0)).unwrap();
+    for (id, xml) in [
+        ("alpha", "<person><name>Arthur</name><age>42</age></person>"),
+        ("beta", "<log><n>17</n><n>18</n></log>"),
+        ("gamma", "<a>x</a>"),
+    ] {
+        service.insert_document(id, Document::parse(xml).unwrap());
+    }
+    service.checkpoint().unwrap();
+    assert_eq!(
+        file_names(&scratch.0),
+        [
+            "catalog.xvi",
+            "doc0.xml",
+            "doc1.xml",
+            "doc2.xml",
+            "wal0.log",
+            "wal1.log"
+        ]
+    );
 }

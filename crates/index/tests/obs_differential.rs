@@ -6,6 +6,9 @@
 use xvi_index::{Document, IndexConfig, IndexService, Lookup, NodeId, ServiceConfig};
 use xvi_xml::NodeKind;
 
+mod common;
+use common::SlotState;
+
 fn people_doc(n: usize) -> Document {
     let mut xml = String::from("<site><people>");
     for i in 0..n {
@@ -41,14 +44,14 @@ fn lookups() -> Vec<Lookup> {
 
 /// Runs the canonical mixed workload and returns every observable
 /// output: commit receipts, query results, and the final state
-/// fingerprint `(id, version, serialized XML, index image bytes)`.
+/// fingerprint `(version, serialized XML, per-node index state)`.
 #[allow(clippy::type_complexity)]
 fn run_workload(
     service: &IndexService,
 ) -> (
     Vec<(u64, usize)>,
     Vec<Vec<NodeId>>,
-    Vec<(u64, String, Vec<u8>)>,
+    Vec<(u64, String, (IndexConfig, Vec<SlotState>))>,
 ) {
     service.insert_document("doc", people_doc(40));
     let nodes = service.read("doc", |doc, _| text_nodes(doc)).unwrap();
@@ -72,12 +75,10 @@ fn run_workload(
 
     let mut state = Vec::new();
     for (_, snap) in service.snapshot_all().iter() {
-        let mut image = Vec::new();
-        snap.index().save_to(snap.document(), &mut image).unwrap();
         state.push((
             snap.version(),
             xvi_xml::serialize::to_string(snap.document()),
-            image,
+            common::index_state(snap.document(), snap.index()),
         ));
     }
     (receipts, results, state)

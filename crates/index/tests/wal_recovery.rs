@@ -11,6 +11,8 @@ use std::path::{Path, PathBuf};
 
 use proptest::prelude::*;
 
+mod common;
+use common::SlotState;
 use xvi_index::{Document, IndexConfig, IndexManager, IndexService, NodeId, ServiceConfig};
 use xvi_xml::NodeKind;
 
@@ -40,20 +42,22 @@ fn wal_config(dir: &Path) -> ServiceConfig {
         .with_wal(dir)
 }
 
+/// Every document's `(id, version, serialized XML, index state)`,
+/// id-sorted.
+type ServiceState = Vec<(String, u64, String, (IndexConfig, Vec<SlotState>))>;
+
 /// The byte-identity fingerprint of a whole service: every document's
-/// `(id, version, serialized XML, index image bytes)`, id-sorted. Two
+/// version, serialized XML and per-node index annotations. Two
 /// services with equal prints are indistinguishable down to the
-/// persisted representation.
-fn state_bytes(service: &IndexService) -> Vec<(String, u64, String, Vec<u8>)> {
+/// persisted representation and every stored hash, state and value.
+fn state_bytes(service: &IndexService) -> ServiceState {
     let mut out = Vec::new();
     for (id, snap) in service.snapshot_all().iter() {
-        let mut image = Vec::new();
-        snap.index().save_to(snap.document(), &mut image).unwrap();
         out.push((
             id.to_string(),
             snap.version(),
             xvi_xml::serialize::to_string(snap.document()),
-            image,
+            common::index_state(snap.document(), snap.index()),
         ));
     }
     out
@@ -194,7 +198,7 @@ fn checkpoint_truncates_the_log_and_recovery_stacks_replay_on_it() {
             truncated < grown,
             "checkpoint must truncate the log ({truncated} >= {grown})"
         );
-        assert_eq!(truncated, 0, "every record was covered by the images");
+        assert_eq!(truncated, 0, "every record was covered by the checkpoint");
         commit(2, "post-checkpoint");
         state_bytes(&service)
     };
@@ -227,7 +231,7 @@ fn commit_count_survives_checkpoint_and_restart() {
         service.commit("doc", txn).unwrap();
         assert_eq!(service.commit_count(), 4);
     }
-    // 3 commits live only in the checkpoint images, 1 only in the log.
+    // 3 commits live only in the checkpoint, 1 only in the log.
     let recovered = IndexService::open(wal_config(&scratch.0)).unwrap();
     assert_eq!(recovered.commit_count(), 4);
     // A further checkpoint folds everything into the manifest; the
@@ -487,11 +491,9 @@ proptest! {
                 .collect();
             idx.update_values(&mut doc, writes).unwrap();
         }
-        let mut image = Vec::new();
-        idx.save_to(&doc, &mut image).unwrap();
-        let (_, _, rec_xml, rec_image) = &state_bytes(&recovered)[0];
+        let (_, _, rec_xml, rec_state) = &state_bytes(&recovered)[0];
         prop_assert_eq!(rec_xml, &xvi_xml::serialize::to_string(&doc));
-        prop_assert_eq!(rec_image, &image);
+        prop_assert_eq!(rec_state, &common::index_state(&doc, &idx));
 
         recovered
             .read("doc", |doc, idx| idx.verify_against(doc).unwrap())

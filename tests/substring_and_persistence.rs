@@ -1,5 +1,5 @@
-//! Integration coverage for the two beyond-the-paper features through
-//! the public facade: the §7 substring index and index persistence.
+//! Integration coverage for the §7 substring index, a beyond-the-paper
+//! feature, through the public facade.
 
 use xvi::datagen::Dataset;
 use xvi::prelude::*;
@@ -51,39 +51,4 @@ fn substring_survives_update_workloads() {
             .unwrap()
             .contains(node));
     }
-}
-
-#[test]
-fn persistence_roundtrip_through_facade() {
-    let xml = Dataset::EpaGeo.generate(5);
-    let doc = Document::parse(&xml).unwrap();
-    let idx = IndexManager::build(&doc, IndexConfig::default());
-
-    let mut image = Vec::new();
-    idx.save_to(&doc, &mut image).unwrap();
-    let loaded = IndexManager::load_from(&doc, image.as_slice()).unwrap();
-    loaded.verify_against(&doc).unwrap();
-    assert_eq!(
-        idx.query(&doc, &Lookup::range_f64(24.0..49.0))
-            .unwrap()
-            .len(),
-        loaded
-            .query(&doc, &Lookup::range_f64(24.0..49.0))
-            .unwrap()
-            .len()
-    );
-}
-
-#[test]
-fn persisted_image_is_compact() {
-    let xml = Dataset::XMark(1).generate(20);
-    let doc = Document::parse(&xml).unwrap();
-    let idx = IndexManager::build(&doc, IndexConfig::default());
-    let mut image = Vec::new();
-    idx.save_to(&doc, &mut image).unwrap();
-    // The image stores ~8 bytes per string entry + ~14 per typed entry;
-    // it must be well below the in-memory structures it reconstructs.
-    let stats = idx.stats();
-    assert!(image.len() < stats.string_bytes + stats.typed[0].bytes);
-    assert!(image.len() > stats.string_entries * 8);
 }
