@@ -24,17 +24,22 @@ impl Drop for ScratchDir {
     }
 }
 
+/// The documents every saved catalog here holds, in id order.
+const DOCS: [(&str, &str); 2] = [
+    ("alpha", "<person><name>Arthur</name><age>42</age></person>"),
+    ("beta", "<log><n>17</n><n>18</n></log>"),
+];
+
+fn insert_docs(service: &IndexService) {
+    for (id, xml) in DOCS {
+        service.insert_document(id, Document::parse(xml).unwrap());
+    }
+}
+
 fn saved_catalog(tag: &str) -> ScratchDir {
     let scratch = ScratchDir::new(tag);
     let service = IndexService::new(ServiceConfig::with_shards(2));
-    service.insert_document(
-        "alpha",
-        Document::parse("<person><name>Arthur</name><age>42</age></person>").unwrap(),
-    );
-    service.insert_document(
-        "beta",
-        Document::parse("<log><n>17</n><n>18</n></log>").unwrap(),
-    );
+    insert_docs(&service);
     service.save_catalog(&scratch.0).unwrap();
     scratch
 }
@@ -215,12 +220,7 @@ fn legacy_index_images_are_ignored_and_swept() {
             .unwrap();
     }
     let fresh = IndexService::new(ServiceConfig::with_shards(2));
-    for (id, xml) in [
-        ("alpha", "<person><name>Arthur</name><age>42</age></person>"),
-        ("beta", "<log><n>17</n><n>18</n></log>"),
-    ] {
-        fresh.insert_document(id, Document::parse(xml).unwrap());
-    }
+    insert_docs(&fresh);
     for lookup in [
         Lookup::equi("Arthur"),
         Lookup::equi("17"),
@@ -249,13 +249,7 @@ fn legacy_index_images_are_ignored_and_swept() {
 fn checkpoint_directory_holds_manifest_documents_and_logs_only() {
     let scratch = ScratchDir::new("catalog-layout");
     let service = IndexService::open(ServiceConfig::with_shards(2).with_wal(&scratch.0)).unwrap();
-    for (id, xml) in [
-        ("alpha", "<person><name>Arthur</name><age>42</age></person>"),
-        ("beta", "<log><n>17</n><n>18</n></log>"),
-        ("gamma", "<a>x</a>"),
-    ] {
-        service.insert_document(id, Document::parse(xml).unwrap());
-    }
+    insert_docs(&service);
     service.checkpoint().unwrap();
     assert_eq!(
         file_names(&scratch.0),
@@ -263,7 +257,6 @@ fn checkpoint_directory_holds_manifest_documents_and_logs_only() {
             "catalog.xvi",
             "doc0.xml",
             "doc1.xml",
-            "doc2.xml",
             "wal0.log",
             "wal1.log"
         ]
