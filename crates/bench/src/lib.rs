@@ -8,7 +8,7 @@
 //! | `fig9`   | index creation time & storage overhead | `… --bin fig9` |
 //! | `fig10`  | update time vs. number of updated nodes | `… --bin fig10` |
 //! | `fig11`  | hash stability (collision distribution) | `… --bin fig11` |
-//! | `concurrency` | index-service throughput vs. threads × group-commit limit | `… --bin concurrency` |
+//! | `lookup` | branch-cached vs. cold descents (writes `BENCH_lookup.json`) | `… --bin lookup` |
 //!
 //! Document sizes default to ≈ 1/16 of the paper's (laptop scale); set
 //! `XVI_SCALE` (permille of that default, e.g. `XVI_SCALE=100` for a
@@ -18,6 +18,11 @@
 //! substrate ablations: `H`/`C` throughput, SCT probe vs. hash
 //! combine, B+tree ops, index creation/update, and the
 //! lookup-vs-scan crossover.
+//!
+//! System throughput, latency and durability are not measured here:
+//! the `perfbench` package at the repository root is the system
+//! benchmark, and `xvi-cli stress` / `xvi-cli serve` drive the service
+//! and the serving frontend by hand.
 
 use std::time::{Duration, Instant};
 
@@ -35,27 +40,13 @@ pub fn scale_permille() -> u32 {
 }
 
 /// Repetitions for timed measurements (`XVI_REPS`; the paper used 20).
+/// At least 1: every timed reproduction divides by or indexes with it.
 pub fn reps() -> usize {
     std::env::var("XVI_REPS")
         .ok()
         .and_then(|v| v.parse().ok())
         .unwrap_or(5)
-}
-
-/// Where experiment runs should dump their final metrics-registry
-/// snapshot, if anywhere (`XVI_METRICS_OUT`, also set by the
-/// `concurrency` binary's `--metrics-out` flag). Honoured by the
-/// service-driving experiments (currently the `serve` sweep).
-pub fn metrics_out() -> Option<String> {
-    std::env::var("XVI_METRICS_OUT").ok()
-}
-
-/// Writes a registry snapshot as a Prometheus text exposition to
-/// `path` and as a JSON document to `<path>.json`.
-pub fn write_metrics_snapshot(snap: &xvi_obs::RegistrySnapshot, path: &str) -> std::io::Result<()> {
-    std::fs::write(path, snap.to_prometheus())?;
-    std::fs::write(format!("{path}.json"), snap.to_json())?;
-    Ok(())
+        .max(1)
 }
 
 /// Generates and shreds one dataset, returning `(xml, doc)`.
@@ -81,20 +72,6 @@ pub fn time_mean(reps: usize, mut f: impl FnMut(usize)) -> Duration {
         total += start.elapsed();
     }
     total / reps as u32
-}
-
-/// Best-of-`reps` timing: runs `f` `reps` times and returns the
-/// fastest run. More robust than the mean on noisy shared machines —
-/// external interference only ever adds time, so the minimum is the
-/// closest observation to the code's true cost.
-pub fn time_min(reps: usize, mut f: impl FnMut(usize)) -> Duration {
-    let mut best = Duration::MAX;
-    for i in 0..reps {
-        let start = Instant::now();
-        f(i);
-        best = best.min(start.elapsed());
-    }
-    best
 }
 
 /// Timing for an A/B comparison, with the two sides interleaved
@@ -181,4 +158,13 @@ pub fn pct(part: usize, whole: usize) -> String {
         return "0.0%".into();
     }
     format!("{:.1}%", 100.0 * part as f64 / whole as f64)
+}
+
+#[cfg(test)]
+mod tests {
+    #[test]
+    fn zero_reps_clamps_to_one() {
+        std::env::set_var("XVI_REPS", "0");
+        assert_eq!(super::reps(), 1);
+    }
 }

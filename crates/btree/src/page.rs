@@ -277,8 +277,8 @@ impl<T: Clone> PagedVec<T> {
     }
 
     /// A clone with every page detached immediately instead of lazily
-    /// on first write — the building block of the `deep_clone` escape
-    /// hatches up the stack (tree, document, index columns).
+    /// on first write — the building block of
+    /// [`BPlusTree::deep_clone`](crate::BPlusTree::deep_clone).
     pub fn deep_clone(&self) -> Self {
         let mut c = self.clone();
         c.unshare();

@@ -1203,9 +1203,8 @@ impl<K: Ord + Clone + Hash, V: Clone> BPlusTree<K, V> {
 
     /// A clone that shares nothing with `self`: every page is
     /// detached immediately instead of lazily on first write. This is
-    /// the pre-structural-sharing ("deep") clone — useful for archival
-    /// copies that must not pin the live tree's pages, and as the
-    /// baseline the COW benches compare against.
+    /// the pre-structural-sharing ("deep") clone, which the
+    /// copy-on-write model tests use as their reference.
     pub fn deep_clone(&self) -> Self {
         let mut c = self.clone();
         c.nodes = self.nodes.deep_clone();

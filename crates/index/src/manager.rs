@@ -88,23 +88,6 @@ impl IndexManager {
         &self.config
     }
 
-    /// A clone that shares no pages with `self`.
-    ///
-    /// `IndexManager::clone` is O(pages) pointer bumps thanks to the
-    /// paged copy-on-write arenas underneath (B+trees and annotation
-    /// columns); this variant detaches every page immediately instead
-    /// — the pre-structural-sharing deep copy, kept for archival
-    /// snapshots and as the baseline of the `concurrency -- cow`
-    /// bench.
-    pub fn deep_clone(&self) -> IndexManager {
-        IndexManager {
-            config: self.config.clone(),
-            string: self.string.as_ref().map(|s| s.deep_clone()),
-            typed: self.typed.iter().map(|t| t.deep_clone()).collect(),
-            substring: self.substring.as_ref().map(|s| s.deep_clone()),
-        }
-    }
-
     /// The string equi-index, if configured.
     pub fn string_index(&self) -> Option<&StringIndex> {
         self.string.as_ref()

@@ -111,14 +111,6 @@ pub struct QGramTable {
 }
 
 impl QGramTable {
-    /// A clone that shares no pages with `self`.
-    pub(crate) fn deep_clone(&self) -> QGramTable {
-        QGramTable {
-            counts: self.counts.deep_clone(),
-            total: self.total,
-        }
-    }
-
     /// Rebuilds from a `(trigram, node)`-sorted, deduplicated posting
     /// run (the substring index's bulk-load input).
     pub(crate) fn rebuild_from_sorted(&mut self, grams: impl IntoIterator<Item = u32>) {

@@ -55,16 +55,6 @@ impl StringIndex {
         }
     }
 
-    /// A clone that shares no pages with `self` (see
-    /// [`BPlusTree::deep_clone`]).
-    pub fn deep_clone(&self) -> StringIndex {
-        StringIndex {
-            tree: self.tree.deep_clone(),
-            hashes: self.hashes.deep_clone(),
-            staged: self.staged.clone(),
-        }
-    }
-
     /// Ends bulk-creation mode: sorts the staged `(hash, node)` keys
     /// once and bulk-loads the tree from the sorted run, then converts
     /// the staged column into the copy-on-write annotation column page

@@ -101,17 +101,6 @@ impl SubstringIndex {
         idx
     }
 
-    /// A clone that shares no pages with `self` (see
-    /// [`BPlusTree::deep_clone`]).
-    pub fn deep_clone(&self) -> SubstringIndex {
-        SubstringIndex {
-            tree: self.tree.deep_clone(),
-            present: self.present.deep_clone(),
-            indexed: self.indexed,
-            grams: self.grams.deep_clone(),
-        }
-    }
-
     /// Flags `node` as indexed, growing the membership column on
     /// demand.
     fn mark_present(&mut self, node: NodeId) {

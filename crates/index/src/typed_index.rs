@@ -104,17 +104,6 @@ impl TypedIndex {
         self.ty
     }
 
-    /// A clone that shares no pages with `self` (see
-    /// [`BPlusTree::deep_clone`]).
-    pub fn deep_clone(&self) -> TypedIndex {
-        TypedIndex {
-            ty: self.ty,
-            value_tree: self.value_tree.deep_clone(),
-            node_tree: self.node_tree.deep_clone(),
-            staging: self.staging.clone(),
-        }
-    }
-
     /// The shared analyzer (DFA + SCT) for this index's type.
     pub fn analyzer(&self) -> &'static TypedAnalyzer {
         analyzer(self.ty)
@@ -216,14 +205,6 @@ impl TypedIndex {
     /// `self.range(bounds).len()` without materialising the scan.
     pub fn estimate_range(&self, bounds: &Bounds) -> CardinalityEstimate {
         CardinalityEstimate::exact(self.value_tree.count_range(Self::composite_bounds(bounds)))
-    }
-
-    /// [`TypedIndex::estimate_range`] plus the number of tree nodes
-    /// visited to answer it (≤ `2·depth + 1`) — the benchmark's probe
-    /// accounting.
-    pub fn count_range_probed(&self, bounds: &Bounds) -> (usize, usize) {
-        self.value_tree
-            .count_range_probed(Self::composite_bounds(bounds))
     }
 
     /// Order-sensitive hash of the value tree's full `(value, node)`

@@ -77,6 +77,8 @@ fn full_tenant_queue_rejects_typed_and_recovers() {
 
     server.resume();
     server.drain();
+    // Every admitted request records exactly one latency sample.
+    assert_eq!(server.stats().latency.count(), 5);
     for t in admitted.iter().chain([&other]) {
         assert!(matches!(t.try_get(), Some(Ok(Response::Commit(_)))));
     }

@@ -161,16 +161,6 @@ impl Document {
         }
     }
 
-    /// A clone that shares no arena pages with `self`: every page is
-    /// detached immediately instead of lazily on first write. Archival
-    /// copies use this to avoid pinning the live document's pages; the
-    /// COW benches use it as the pre-structural-sharing baseline.
-    pub fn deep_clone(&self) -> Document {
-        let mut c = self.clone();
-        c.nodes = self.nodes.deep_clone();
-        c
-    }
-
     /// Number of arena pages currently shared with other clones of
     /// this document (copy-on-write sharing diagnostics).
     pub fn shared_pages(&self) -> usize {
@@ -1023,12 +1013,8 @@ mod tests {
         assert_eq!(big.string_value(text), "value-7");
         assert_eq!(snap.string_value(text), "rewritten");
         assert!(snap.shared_pages() > 0);
-        let mut deep = big.deep_clone();
         drop(snap);
         assert_eq!(big.shared_pages(), 0);
-        assert_eq!(deep.shared_pages(), 0);
-        deep.set_value(text, "deep");
-        assert_eq!(big.string_value(text), "value-7");
     }
 
     /// The shredder's name-cache thrash test relies on this.
