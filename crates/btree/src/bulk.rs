@@ -12,7 +12,7 @@ use crate::node::{Node, NIL};
 use crate::summary::Summary;
 use crate::tree::BPlusTree;
 
-impl<K: Ord + Clone + std::hash::Hash, V: Clone> BPlusTree<K, V> {
+impl<K: Ord + Clone, V: Clone> BPlusTree<K, V> {
     /// Builds a tree from strictly increasing `(key, value)` pairs
     /// using [`crate::DEFAULT_ORDER`].
     ///
@@ -31,86 +31,62 @@ impl<K: Ord + Clone + std::hash::Hash, V: Clone> BPlusTree<K, V> {
         order: usize,
         iter: I,
     ) -> Self {
+        let (keys, values): (Vec<K>, Vec<V>) = iter.into_iter().unzip();
+        Self::from_sorted_slices_with_order(order, &keys, &values)
+    }
+
+    /// Builds a tree from a strictly increasing key run and its
+    /// parallel value run, using [`crate::DEFAULT_ORDER`]. Each leaf
+    /// is cut from the runs as one slice copy.
+    ///
+    /// # Panics
+    /// Panics if the runs differ in length or keys are not strictly
+    /// increasing.
+    pub fn from_sorted_slices(keys: &[K], values: &[V]) -> Self {
+        Self::from_sorted_slices_with_order(crate::DEFAULT_ORDER, keys, values)
+    }
+
+    fn from_sorted_slices_with_order(order: usize, keys: &[K], values: &[V]) -> Self {
+        assert_eq!(keys.len(), values.len(), "one value per key");
+        assert!(
+            keys.windows(2).all(|w| w[0] < w[1]),
+            "bulk load requires strictly increasing keys"
+        );
         let mut tree = BPlusTree::with_order(order);
+        let n = keys.len();
+        if n == 0 {
+            return tree; // stays the empty single-leaf tree
+        }
         let min = order / 2;
 
         // ---- leaf level -----------------------------------------------------
-        // Pack full leaves; remember each leaf's first key for the
-        // separator computation above.
-        let mut leaves: Vec<u32> = Vec::new();
-        let mut first_keys: Vec<K> = Vec::new();
-        let mut keys: Vec<K> = Vec::with_capacity(order);
-        let mut values: Vec<V> = Vec::with_capacity(order);
-        let mut count = 0usize;
-
-        let flush = |tree: &mut BPlusTree<K, V>,
-                     keys: &mut Vec<K>,
-                     values: &mut Vec<V>,
-                     leaves: &mut Vec<u32>,
-                     first_keys: &mut Vec<K>| {
-            if keys.is_empty() {
-                return;
-            }
-            first_keys.push(keys[0].clone());
-            let prev = leaves.last().copied().unwrap_or(NIL);
+        // Full leaves, except that an underfull last leaf takes enough
+        // entries from its left neighbour to reach minimum occupancy.
+        let mut cuts: Vec<usize> = (0..n).step_by(order).collect();
+        let tail = n - cuts[cuts.len() - 1];
+        if cuts.len() > 1 && tail < min {
+            let last = cuts.len() - 1;
+            cuts[last] -= min - tail;
+        }
+        // `level` holds (node id, first key of its subtree).
+        let mut level: Vec<(u32, K)> = Vec::with_capacity(cuts.len());
+        let mut prev = NIL;
+        for (i, &lo) in cuts.iter().enumerate() {
+            let hi = cuts.get(i + 1).copied().unwrap_or(n);
             let id = tree.alloc_node(Node::Leaf {
-                keys: std::mem::take(keys).into(),
-                values: std::mem::take(values).into(),
+                keys: keys[lo..hi].to_vec().into(),
+                values: values[lo..hi].to_vec().into(),
                 next: NIL,
                 prev,
             });
             if prev != NIL {
                 tree.set_leaf_next(prev, id);
             }
-            leaves.push(id);
-        };
-
-        let mut last_key: Option<K> = None;
-        for (k, v) in iter {
-            if let Some(prev) = &last_key {
-                assert!(prev < &k, "bulk load requires strictly increasing keys");
-            }
-            last_key = Some(k.clone());
-            keys.push(k);
-            values.push(v);
-            count += 1;
-            if keys.len() == order {
-                flush(
-                    &mut tree,
-                    &mut keys,
-                    &mut values,
-                    &mut leaves,
-                    &mut first_keys,
-                );
-            }
-        }
-        flush(
-            &mut tree,
-            &mut keys,
-            &mut values,
-            &mut leaves,
-            &mut first_keys,
-        );
-
-        if leaves.is_empty() {
-            return tree; // stays the empty single-leaf tree
-        }
-
-        // Rebalance the last leaf if it is underfull (and not alone).
-        if leaves.len() > 1 {
-            let last = *leaves.last().expect("non-empty");
-            let prev = leaves[leaves.len() - 2];
-            let deficit = min.saturating_sub(tree.node(last).key_count());
-            if deficit > 0 {
-                tree.shift_tail_to_right_leaf(prev, last, deficit);
-                let i = leaves.len() - 1;
-                first_keys[i] = tree.first_key_of_leaf(last);
-            }
+            level.push((id, keys[lo].clone()));
+            prev = id;
         }
 
         // ---- internal levels -------------------------------------------------
-        // `level` holds (node id, first key of its subtree).
-        let mut level: Vec<(u32, K)> = leaves.into_iter().zip(first_keys).collect();
         let max_children = order + 1;
         let min_children = min + 1;
         while level.len() > 1 {
@@ -147,7 +123,7 @@ impl<K: Ord + Clone + std::hash::Hash, V: Clone> BPlusTree<K, V> {
         }
 
         let (root, _) = level.pop().expect("at least one node");
-        tree.replace_root(root, count);
+        tree.replace_root(root, n);
         tree
     }
 }

@@ -19,7 +19,7 @@ pub struct Range<'a, K, V> {
     end: Bound<K>,
 }
 
-impl<'a, K: Ord + Clone + std::hash::Hash, V: Clone> Range<'a, K, V> {
+impl<'a, K: Ord + Clone, V: Clone> Range<'a, K, V> {
     pub(crate) fn new<R: RangeBounds<K>>(tree: &'a BPlusTree<K, V>, bounds: R) -> Self {
         Self::with_mode(tree, bounds, false)
     }
@@ -52,7 +52,7 @@ impl<'a, K: Ord + Clone + std::hash::Hash, V: Clone> Range<'a, K, V> {
     }
 }
 
-impl<'a, K: Ord + Clone + std::hash::Hash, V: Clone> Iterator for Range<'a, K, V> {
+impl<'a, K: Ord + Clone, V: Clone> Iterator for Range<'a, K, V> {
     type Item = (&'a K, &'a V);
 
     fn next(&mut self) -> Option<Self::Item> {
@@ -85,7 +85,7 @@ impl<'a, K: Ord + Clone + std::hash::Hash, V: Clone> Iterator for Range<'a, K, V
     }
 }
 
-impl<K: Ord + Clone + std::hash::Hash, V: Clone> BPlusTree<K, V> {
+impl<K: Ord + Clone, V: Clone> BPlusTree<K, V> {
     /// Finds the position of the first entry `>= key` (or `> key` when
     /// `exclusive`), as a `(leaf, index)` pair; the index may be one
     /// past the end of the leaf, which the iterator normalises.

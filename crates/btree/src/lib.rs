@@ -17,12 +17,11 @@
 //!   index service's snapshot publishes proportional to the touched
 //!   set instead of the document size,
 //! * **monoid summaries in interior nodes** ([`Summary`]): every
-//!   interior node stores, per child, the exact entry count, min/max
-//!   key and order-sensitive key-sequence hash of that child's
-//!   subtree, maintained through every mutation path. This buys exact
-//!   [`BPlusTree::count_range`] cardinalities in O(log n) node visits
-//!   and an O(fan-out) [`BPlusTree::subtree_hash`] for structural
-//!   comparison. Keys must therefore implement [`std::hash::Hash`].
+//!   interior node stores, per child, the exact entry count and
+//!   min/max key of that child's subtree, maintained through every
+//!   mutation path. This buys exact [`BPlusTree::count_range`]
+//!   cardinalities in O(log n) node visits. Keys need only `Ord +
+//!   Clone`; no key is hashed.
 //!
 //! Duplicate logical keys (e.g. many nodes sharing one hash value) are
 //! handled the way databases usually do it: with composite keys such as
@@ -41,5 +40,5 @@ mod tree;
 
 pub use iter::Range;
 pub use page::{ColVec, PagedVec, StagedPages, PAGE_SIZE};
-pub use summary::{key_hash, Summary};
+pub use summary::Summary;
 pub use tree::{BPlusTree, TreeStats, DEFAULT_ORDER};

@@ -1,8 +1,7 @@
 //! The B+tree proper: lookup, insert with splits, delete with
 //! borrow/merge rebalancing, monoid-summary maintenance, exact range
-//! aggregates, the key-sequence hash, and structural statistics.
+//! aggregates, and structural statistics.
 
-use std::hash::Hash;
 use std::ops::{Bound, RangeBounds};
 
 use crate::cache::{hinted_partition_point, hinted_search, BranchCache, InlinePath, ProbeGate};
@@ -101,10 +100,6 @@ pub struct TreeStats {
     /// mutation lineage (inherited by clones): the difference across a
     /// clone-then-mutate publish cycle is the pages that cycle copied.
     pub pages_detached: u64,
-    /// The root [`Summary`] hash — an order-sensitive hash of the full
-    /// key sequence, equal iff (modulo 64-bit collisions) two trees
-    /// hold the same keys. See [`BPlusTree::subtree_hash`].
-    pub root_hash: u64,
     /// Descents resolved at the branch-cached leaf itself.
     pub cache_hits: u64,
     /// Descents resolved from a cached ancestor below the root.
@@ -113,13 +108,13 @@ pub struct TreeStats {
     pub cache_misses: u64,
 }
 
-impl<K: Ord + Clone + Hash, V: Clone> Default for BPlusTree<K, V> {
+impl<K: Ord + Clone, V: Clone> Default for BPlusTree<K, V> {
     fn default() -> Self {
         Self::new()
     }
 }
 
-impl<K: Ord + Clone + Hash, V: Clone> BPlusTree<K, V> {
+impl<K: Ord + Clone, V: Clone> BPlusTree<K, V> {
     /// Creates an empty tree with [`DEFAULT_ORDER`].
     pub fn new() -> Self {
         Self::with_order(DEFAULT_ORDER)
@@ -192,44 +187,6 @@ impl<K: Ord + Clone + Hash, V: Clone> BPlusTree<K, V> {
         match self.node_mut(leaf) {
             Node::Leaf { next: n, .. } => *n = next,
             _ => unreachable!("set_leaf_next on a non-leaf"),
-        }
-    }
-
-    /// Bulk-loader helper: first key of a leaf.
-    pub(crate) fn first_key_of_leaf(&self, leaf: u32) -> K {
-        match self.node(leaf) {
-            Node::Leaf { keys, .. } => keys.first().expect("non-empty leaf").clone(),
-            _ => unreachable!("first_key_of_leaf on a non-leaf"),
-        }
-    }
-
-    /// Bulk-loader helper: moves the last `n` entries of `left` to the
-    /// front of `right` (both leaves).
-    pub(crate) fn shift_tail_to_right_leaf(&mut self, left: u32, right: u32, n: usize) {
-        let (l, r) = self.two_nodes_mut(left, right);
-        match (l, r) {
-            (
-                Node::Leaf {
-                    keys: lk,
-                    values: lv,
-                    ..
-                },
-                Node::Leaf {
-                    keys: rk,
-                    values: rv,
-                    ..
-                },
-            ) => {
-                let lk = lk.make_mut();
-                let at = lk.len() - n;
-                let mut moved_k = lk.split_off(at);
-                let mut moved_v = lv.make_mut().split_off(at);
-                moved_k.append(rk.make_mut());
-                moved_v.append(rv.make_mut());
-                *rk = moved_k.into();
-                *rv = moved_v.into();
-            }
-            _ => unreachable!("leaf rebalance on non-leaves"),
         }
     }
 
@@ -1053,24 +1010,12 @@ impl<K: Ord + Clone + Hash, V: Clone> BPlusTree<K, V> {
         *self = Self::with_order(order);
     }
 
-    // ----- monoid summaries: exact aggregates and the sequence hash --------
+    // ----- monoid summaries: exact aggregates -----------------------------
 
-    /// The maintained [`Summary`] of the whole tree: exact entry
-    /// count, min/max key, and the order-sensitive key-sequence hash.
-    /// O(fan-out of the root), not O(n).
+    /// The maintained [`Summary`] of the whole tree: exact entry count
+    /// and min/max key. O(fan-out of the root), not O(n).
     pub fn summary(&self) -> Summary<K> {
         self.node_summary(self.root)
-    }
-
-    /// The order-sensitive hash of the full key sequence. Two trees
-    /// with equal `subtree_hash` hold the same keys in the same order
-    /// (modulo 64-bit hash collisions) regardless of node shape,
-    /// order, or arena layout — the comparison handle for snapshot
-    /// verification. Values are *not* covered: they can change through
-    /// [`BPlusTree::get_mut`] without the tree observing it, so no
-    /// maintained value hash could be sound.
-    pub fn subtree_hash(&self) -> u64 {
-        self.summary().hash
     }
 
     /// Exact number of entries whose keys fall within `bounds`, in
@@ -1194,7 +1139,6 @@ impl<K: Ord + Clone + Hash, V: Clone> BPlusTree<K, V> {
             shared_pages: self.nodes.shared_pages(),
             free_slots: self.free.len(),
             pages_detached: self.nodes.pages_detached(),
-            root_hash: self.subtree_hash(),
             cache_hits,
             cache_partial_hits,
             cache_misses,

@@ -15,6 +15,8 @@
 //! processing instructions are not value-indexed and contribute
 //! nothing either.
 
+use std::borrow::Cow;
+
 use xvi_fsm::StateId;
 use xvi_hash::{combine, hash_str, HashValue};
 use xvi_xml::{cursor::dfs_events, DfsEvent, Document, NodeId, NodeKind};
@@ -110,12 +112,9 @@ pub(crate) fn index_subtree(
                     for (i, idx) in typed.iter_mut().enumerate() {
                         let an = idx.analyzer();
                         let state = states[top + i];
-                        // Complete intermediate nodes are rare (paper
-                        // Table 1's "non-leaf" column), so materialising
-                        // their string value here costs next to nothing.
                         let value = state
                             .filter(|&s| an.is_complete(s))
-                            .and_then(|_| an.cast(&doc.string_value(node)))
+                            .and_then(|_| an.cast(&string_value(doc, node)))
                             .map(|v| v.key);
                         idx.set(node, state, value);
                     }
@@ -134,4 +133,17 @@ pub(crate) fn index_subtree(
         }
     }
     debug_assert!(hashes.is_empty(), "every frame is popped");
+}
+
+/// The string value of a complete element, read in place when its only
+/// child is a text node: nearly every complete element is such a leaf.
+/// Complete intermediate nodes are rare (paper Table 1's "non-leaf"
+/// column), so materialising theirs costs next to nothing.
+fn string_value(doc: &Document, node: NodeId) -> Cow<'_, str> {
+    if let Some(child) = doc.first_child(node) {
+        if let (None, NodeKind::Text(t)) = (doc.next_sibling(child), doc.kind(child)) {
+            return Cow::Borrowed(t);
+        }
+    }
+    Cow::Owned(doc.string_value(node))
 }

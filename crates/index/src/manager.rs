@@ -48,39 +48,80 @@ pub struct IndexManager {
     substring: Option<SubstringIndex>,
 }
 
+/// The typed half of a build's bulk loads, detached from its manager
+/// by [`IndexManager::shred`]: the staged typed indexes and whether a
+/// substring index is configured.
+pub(crate) struct TypedLoads {
+    typed: Vec<TypedIndex>,
+    substring: bool,
+}
+
+/// What [`TypedLoads::finish`] hands back to [`IndexManager::attach`].
+pub(crate) type LoadedTyped = (Vec<TypedIndex>, Option<SubstringIndex>);
+
+impl TypedLoads {
+    /// Bulk-loads every typed index and builds the substring index,
+    /// if configured.
+    pub(crate) fn finish(mut self, doc: &Document) -> LoadedTyped {
+        for t in self.typed.iter_mut() {
+            t.finish_bulk();
+        }
+        let substring = self.substring.then(|| SubstringIndex::build(doc));
+        (self.typed, substring)
+    }
+}
+
 impl IndexManager {
     /// Builds all configured indices in a single depth-first pass.
     pub fn build(doc: &Document, config: IndexConfig) -> IndexManager {
+        let (mut mgr, typed) = IndexManager::shred(doc, config);
+        mgr.finish_string();
+        mgr.attach(typed.finish(doc));
+        mgr
+    }
+
+    /// The first half of [`IndexManager::build`]: the shred pass. It
+    /// stages every configured index's entries in one depth-first
+    /// walk and returns the manager with its string index still
+    /// staged, plus the typed indexes (and the substring build, if
+    /// configured) as a [`TypedLoads`] that can run on another thread.
+    pub(crate) fn shred(doc: &Document, config: IndexConfig) -> (IndexManager, TypedLoads) {
         // Creation is append-only, so the B+trees are bulk-loaded from
         // sorted entry runs instead of filled by random inserts.
-        let mut mgr = IndexManager {
-            string: config
-                .string_index
-                .then(|| StringIndex::for_bulk(doc.arena_size())),
-            typed: config
-                .typed
-                .iter()
-                .map(|&t| TypedIndex::for_bulk(t))
-                .collect(),
-            substring: None,
-            config,
+        let mut string = config
+            .string_index
+            .then(|| StringIndex::for_bulk(doc.arena_size()));
+        let mut typed: Vec<TypedIndex> = config
+            .typed
+            .iter()
+            .map(|&t| TypedIndex::for_bulk(t, doc.arena_size()))
+            .collect();
+        index_subtree(doc, doc.document_node(), string.as_mut(), &mut typed);
+        let loads = TypedLoads {
+            typed,
+            substring: config.substring_index,
         };
-        index_subtree(
-            doc,
-            doc.document_node(),
-            mgr.string.as_mut(),
-            &mut mgr.typed,
-        );
-        if let Some(s) = mgr.string.as_mut() {
+        let mgr = IndexManager {
+            config,
+            string,
+            typed: Vec::new(),
+            substring: None,
+        };
+        (mgr, loads)
+    }
+
+    /// The string half of the bulk loads: sorts the staged `(hash,
+    /// node)` keys and loads the hash B+tree.
+    pub(crate) fn finish_string(&mut self) {
+        if let Some(s) = self.string.as_mut() {
             s.finish_bulk();
         }
-        for t in mgr.typed.iter_mut() {
-            t.finish_bulk();
-        }
-        if mgr.config.substring_index {
-            mgr.substring = Some(SubstringIndex::build(doc));
-        }
-        mgr
+    }
+
+    /// Installs the result of [`TypedLoads::finish`].
+    pub(crate) fn attach(&mut self, (typed, substring): LoadedTyped) {
+        self.typed = typed;
+        self.substring = substring;
     }
 
     /// The active configuration.
@@ -728,10 +769,10 @@ mod tests {
         let mut idx = IndexManager::build(&doc, IndexConfig::default());
         let r = doc.root_element().unwrap();
         let attr = doc.attribute(r, "a").unwrap();
-        let root_hash_before = idx.hash_of(r);
+        let before = idx.hash_of(r);
 
         idx.update_value(&mut doc, attr, "43").unwrap();
-        assert_eq!(idx.hash_of(r), root_hash_before);
+        assert_eq!(idx.hash_of(r), before);
         assert_eq!(idx.query(&doc, &Lookup::equi("43")).unwrap(), vec![attr]);
         assert!(idx
             .query(&doc, &Lookup::range_f64(42.5..43.5))

@@ -22,22 +22,39 @@ use crate::stats::CardinalityEstimate;
 /// exactly, so no statistics are maintained beside them.
 #[derive(Debug, Default, Clone)]
 pub struct StringIndex {
-    /// `(hash raw, node arena index) → ()`.
-    tree: BPlusTree<(u32, u32), ()>,
-    /// Hash annotation per arena slot. Slots that are not indexed
-    /// (freed nodes, comments, PIs) hold `None`.
-    hashes: PagedVec<Option<HashValue>>,
+    /// `hash raw << 32 | node arena index → ()`: ordered like the pair
+    /// `(hash, node)`.
+    tree: BPlusTree<u64, ()>,
+    /// Raw hash word per arena slot. Slots that are not indexed (freed
+    /// nodes, comments, PIs) hold [`NO_HASH`].
+    hashes: PagedVec<u32>,
     /// During initial creation, annotations accumulate in this plain
     /// column only (no per-slot copy-on-write check); the tree and
     /// `hashes` are built from it once at the end.
-    staged: Option<Vec<Option<HashValue>>>,
+    staged: Option<Vec<u32>>,
+}
+
+/// The raw word of a slot without a hash. Its offset field (31) lies
+/// outside `0..27`, so no hash has it and [`HashValue::from_raw`]
+/// decodes it as `None`.
+const NO_HASH: u32 = u32::MAX;
+
+/// The tree key of `node`'s entry under `hash`.
+fn key(hash: HashValue, node: NodeId) -> u64 {
+    u64::from(hash.raw()) << 32 | node.index() as u64
+}
+
+/// Every tree key under `hash`.
+fn keys_of(hash: HashValue) -> std::ops::RangeInclusive<u64> {
+    let lo = u64::from(hash.raw()) << 32;
+    lo..=lo | u64::from(u32::MAX)
 }
 
 impl StringIndex {
     /// Creates an empty index sized for `arena_size` slots.
     pub fn new(arena_size: usize) -> StringIndex {
         let mut hashes = PagedVec::new();
-        hashes.resize(arena_size, None);
+        hashes.resize(arena_size, NO_HASH);
         StringIndex {
             tree: BPlusTree::new(),
             hashes,
@@ -50,7 +67,7 @@ impl StringIndex {
     /// [`StringIndex::finish_bulk`].
     pub(crate) fn for_bulk(arena_size: usize) -> StringIndex {
         StringIndex {
-            staged: Some(vec![None; arena_size]),
+            staged: Some(vec![NO_HASH; arena_size]),
             ..StringIndex::default()
         }
     }
@@ -62,22 +79,20 @@ impl StringIndex {
     pub(crate) fn finish_bulk(&mut self) {
         let column = self.staged.take().expect("for_bulk first");
         let keys = sorted_keys(&column);
-        self.tree = BPlusTree::from_sorted_iter(
-            keys.into_iter().map(|k| (((k >> 32) as u32, k as u32), ())),
-        );
+        self.tree = BPlusTree::from_sorted_slices(&keys, &vec![(); keys.len()]);
         self.hashes = column.into_iter().collect();
     }
 
-    fn slot(&mut self, node: NodeId) -> &mut Option<HashValue> {
+    fn slot(&mut self, node: NodeId) -> &mut u32 {
         if node.index() >= self.hashes.len() {
-            self.hashes.resize(node.index() + 1, None);
+            self.hashes.resize(node.index() + 1, NO_HASH);
         }
         &mut self.hashes[node.index()]
     }
 
     /// The stored hash annotation of `node`, if it is indexed.
     pub fn hash_of(&self, node: NodeId) -> Option<HashValue> {
-        self.hashes.get(node.index()).copied().flatten()
+        HashValue::from_raw(*self.hashes.get(node.index())?)
     }
 
     /// Inserts or replaces the hash annotation of `node`, keeping the
@@ -86,26 +101,27 @@ impl StringIndex {
         if let Some(column) = &mut self.staged {
             let i = node.index();
             if i >= column.len() {
-                column.resize(i + 1, None);
+                column.resize(i + 1, NO_HASH);
             }
-            column[i] = Some(hash);
+            column[i] = hash.raw();
             return;
         }
-        let old = *self.slot(node);
+        let old = HashValue::from_raw(*self.slot(node));
         if old == Some(hash) {
             return;
         }
         if let Some(h) = old {
-            self.tree.remove(&(h.raw(), node.index() as u32));
+            self.tree.remove(&key(h, node));
         }
-        self.tree.insert((hash.raw(), node.index() as u32), ());
-        *self.slot(node) = Some(hash);
+        self.tree.insert(key(hash, node), ());
+        *self.slot(node) = hash.raw();
     }
 
     /// Removes `node` from the index entirely (subtree deletion).
     pub fn remove(&mut self, node: NodeId) {
-        if let Some(h) = self.slot(node).take() {
-            self.tree.remove(&(h.raw(), node.index() as u32));
+        let raw = std::mem::replace(self.slot(node), NO_HASH);
+        if let Some(h) = HashValue::from_raw(raw) {
+            self.tree.remove(&key(h, node));
         }
     }
 
@@ -114,8 +130,8 @@ impl StringIndex {
     /// caller verifies against actual string values.
     pub fn candidates(&self, hash: HashValue) -> Vec<NodeId> {
         self.tree
-            .range((hash.raw(), 0)..=(hash.raw(), u32::MAX))
-            .map(|(&(_, n), ())| NodeId::from_index(n as usize))
+            .range(keys_of(hash))
+            .map(|(&k, ())| NodeId::from_index(k as u32 as usize))
             .collect()
     }
 
@@ -131,7 +147,7 @@ impl StringIndex {
 
     /// Approximate heap bytes: tree structure + annotation column.
     pub fn approx_bytes(&self) -> usize {
-        self.tree.approx_bytes() + self.hashes.len() * std::mem::size_of::<Option<HashValue>>()
+        self.tree.approx_bytes() + self.hashes.len() * std::mem::size_of::<u32>()
     }
 
     /// **Exact** candidate count of an equality probe for `hash`,
@@ -141,17 +157,15 @@ impl StringIndex {
     /// (hash matches before string verification), the same population
     /// [`StringIndex::candidates`] returns.
     pub fn estimate_equi(&self, hash: HashValue) -> CardinalityEstimate {
-        CardinalityEstimate::exact(
-            self.tree
-                .count_range((hash.raw(), 0)..=(hash.raw(), u32::MAX)),
-        )
+        CardinalityEstimate::exact(self.tree.count_range(keys_of(hash)))
     }
 
-    /// Order-sensitive hash of the tree's full `(hash, node)` key
-    /// sequence, maintained in the root's monoid summaries; equal
-    /// hashes mean (with 64-bit confidence) identical indexed content.
-    pub fn root_hash(&self) -> u64 {
-        self.tree.subtree_hash()
+    /// Every indexed `(raw hash, node)` entry in key order: the whole
+    /// content of the hash B+tree, for comparing two indexes.
+    pub fn entries(&self) -> impl Iterator<Item = (u32, NodeId)> + '_ {
+        self.tree
+            .iter()
+            .map(|(&k, ())| ((k >> 32) as u32, NodeId::from_index(k as u32 as usize)))
     }
 
     /// Storage statistics of the hash B+tree (pages, shared pages,
@@ -166,27 +180,36 @@ impl StringIndex {
     }
 }
 
-/// The `(hash, node)` keys of an annotation column in ascending order,
-/// packed as `hash << 32 | node`.
+/// Bits per pass of [`sorted_keys`]' radix sort: 2048 buckets keep
+/// every pass's scatter targets in cache.
+const RADIX_BITS: u32 = 11;
+const RADIX: usize = 1 << RADIX_BITS;
+
+/// The radix digit of a tree key in `pass`.
+fn digit(key: u64, pass: u32) -> usize {
+    (key >> (32 + pass * RADIX_BITS)) as usize % RADIX
+}
+
+/// The tree keys of an annotation column in ascending order.
 ///
 /// Reading the column in slot order yields the keys sorted by node, so
-/// a stable LSD radix sort on the 32 hash bits — two passes of 16 bits
-/// — leaves them sorted by `(hash, node)`.
-fn sorted_keys(column: &[Option<HashValue>]) -> Vec<u64> {
-    const RADIX: usize = 1 << 16;
+/// a stable LSD radix sort on the 32 hash bits — three passes of
+/// [`RADIX_BITS`] — leaves them sorted by `(hash, node)`.
+fn sorted_keys(column: &[u32]) -> Vec<u64> {
     let mut keys: Vec<u64> = column
         .iter()
         .enumerate()
-        .filter_map(|(i, h)| h.map(|h| u64::from(h.raw()) << 32 | i as u64))
+        .filter(|&(_, &raw)| raw != NO_HASH)
+        .map(|(i, &raw)| u64::from(raw) << 32 | i as u64)
         .collect();
-    let mut low = vec![0u32; RADIX];
-    let mut high = vec![0u32; RADIX];
+    let mut next = [[0u32; RADIX]; 3];
     for &k in &keys {
-        low[(k >> 32) as usize % RADIX] += 1;
-        high[(k >> 48) as usize] += 1;
+        for (pass, counts) in next.iter_mut().enumerate() {
+            counts[digit(k, pass as u32)] += 1;
+        }
     }
-    let mut out = vec![0u64; keys.len()];
-    for (shift, mut next) in [(32, low), (48, high)] {
+    let mut scratch = vec![0u64; keys.len()];
+    for (pass, next) in next.iter_mut().enumerate() {
         let mut start = 0;
         for slot in next.iter_mut() {
             let n = *slot;
@@ -194,11 +217,11 @@ fn sorted_keys(column: &[Option<HashValue>]) -> Vec<u64> {
             start += n;
         }
         for &k in &keys {
-            let digit = (k >> shift) as usize % RADIX;
-            out[next[digit] as usize] = k;
-            next[digit] += 1;
+            let d = digit(k, pass as u32);
+            scratch[next[d] as usize] = k;
+            next[d] += 1;
         }
-        std::mem::swap(&mut keys, &mut out);
+        std::mem::swap(&mut keys, &mut scratch);
     }
     keys
 }

@@ -51,6 +51,16 @@ impl NodeEntry {
     }
 }
 
+/// Bulk-creation staging: the entries in the order they were set, and
+/// per arena slot the 1-based position of its entry (0 for a rejected
+/// or unindexed node). A slot costs 4 bytes; only stored states take
+/// an entry.
+#[derive(Debug, Clone, Default)]
+struct Staging {
+    slots: Vec<u32>,
+    entries: Vec<NodeEntry>,
+}
+
 /// A range-lookup index for one XML type.
 ///
 /// A write touches only the two trees: the value tree's interior
@@ -61,8 +71,8 @@ pub struct TypedIndex {
     ty: XmlType,
     value_tree: BPlusTree<(OrdF64, u32), ()>,
     node_tree: BPlusTree<u32, NodeEntry>,
-    /// Staging area for bulk creation (one entry per node, unsorted).
-    staging: Option<Vec<(u32, NodeEntry)>>,
+    /// Staging area for bulk creation.
+    staging: Option<Staging>,
 }
 
 impl TypedIndex {
@@ -76,27 +86,43 @@ impl TypedIndex {
         }
     }
 
-    /// Creates an empty index for `ty` in bulk-creation mode:
-    /// [`TypedIndex::set`] stages entries until
-    /// [`TypedIndex::finish_bulk`] sorts and bulk-loads both trees.
-    pub(crate) fn for_bulk(ty: XmlType) -> TypedIndex {
+    /// Creates an empty index for `ty` in bulk-creation mode, sized
+    /// for `arena_size` slots: [`TypedIndex::set`] fills a plain slot
+    /// column until [`TypedIndex::finish_bulk`] bulk-loads both trees.
+    pub(crate) fn for_bulk(ty: XmlType, arena_size: usize) -> TypedIndex {
         TypedIndex {
-            staging: Some(Vec::new()),
+            staging: Some(Staging {
+                slots: vec![0; arena_size],
+                entries: Vec::new(),
+            }),
             ..TypedIndex::new(ty)
         }
     }
 
-    /// Sorts the staged entries and bulk-loads the two B+trees.
+    /// Bulk-loads the two B+trees from the staged slots: read in slot
+    /// order they are already sorted by node; the values are sorted
+    /// once.
     pub(crate) fn finish_bulk(&mut self) {
-        let mut staged = self.staging.take().expect("for_bulk first");
-        staged.sort_unstable_by_key(|(n, _)| *n);
-        let mut values: Vec<(OrdF64, u32)> = staged
-            .iter()
-            .filter_map(|(n, e)| e.value().map(|v| (v, *n)))
-            .collect();
-        values.sort_unstable();
-        self.node_tree = BPlusTree::from_sorted_iter(staged);
-        self.value_tree = BPlusTree::from_sorted_iter(values.into_iter().map(|k| (k, ())));
+        let staged = self.staging.take().expect("for_bulk first");
+        let mut nodes: Vec<u32> = Vec::with_capacity(staged.entries.len());
+        let mut entries: Vec<NodeEntry> = Vec::with_capacity(staged.entries.len());
+        let mut values: Vec<(OrdF64, u32)> = Vec::new();
+        for (n, &at) in staged.slots.iter().enumerate() {
+            if let Some(i) = at.checked_sub(1) {
+                let e = staged.entries[i as usize];
+                nodes.push(n as u32);
+                entries.push(e);
+                if let Some(v) = e.value() {
+                    values.push((v, n as u32));
+                }
+            }
+        }
+        drop(staged);
+        // A stable sort on the value alone: the run was collected in
+        // slot order, so equal values stay in node order.
+        values.sort_by_key(|&(v, _)| v);
+        self.node_tree = BPlusTree::from_sorted_slices(&nodes, &entries);
+        self.value_tree = BPlusTree::from_sorted_slices(&values, &vec![(); values.len()]);
     }
 
     /// The indexed type.
@@ -127,9 +153,17 @@ impl TypedIndex {
         let n = node.index() as u32;
         let entry = state.map(|s| NodeEntry::new(s, value.map(OrdF64)));
         if let Some(staging) = &mut self.staging {
-            if let Some(e) = entry {
-                staging.push((n, e));
+            let i = node.index();
+            if i >= staging.slots.len() {
+                staging.slots.resize(i + 1, 0);
             }
+            staging.slots[i] = match entry {
+                Some(e) => {
+                    staging.entries.push(e);
+                    staging.entries.len() as u32
+                }
+                None => 0,
+            };
             return;
         }
         let old = match entry {
@@ -205,13 +239,6 @@ impl TypedIndex {
     /// `self.range(bounds).len()` without materialising the scan.
     pub fn estimate_range(&self, bounds: &Bounds) -> CardinalityEstimate {
         CardinalityEstimate::exact(self.value_tree.count_range(Self::composite_bounds(bounds)))
-    }
-
-    /// Order-sensitive hash of the value tree's full `(value, node)`
-    /// key sequence, maintained in the root's monoid summaries; equal
-    /// hashes mean (with 64-bit confidence) identical indexed values.
-    pub fn root_hash(&self) -> u64 {
-        self.value_tree.subtree_hash()
     }
 
     /// Storage statistics of the value tree.

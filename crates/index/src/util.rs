@@ -40,16 +40,6 @@ impl From<f64> for OrdF64 {
     }
 }
 
-/// Hashes the raw IEEE-754 bits, which is exactly the equivalence that
-/// `total_cmp`-based `Eq` defines (`-0.0` and `0.0` hash differently,
-/// matching their inequality above) — so `Hash` agrees with `Eq` as
-/// the B+tree's monoid summaries require.
-impl std::hash::Hash for OrdF64 {
-    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
-        self.0.to_bits().hash(state);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -67,19 +57,5 @@ mod tests {
         // Eq must agree with Ord — the invariant search trees rely on.
         assert_ne!(OrdF64(-0.0), OrdF64(0.0));
         assert_eq!(OrdF64(1.5), OrdF64(1.5));
-    }
-
-    #[test]
-    fn hash_agrees_with_eq() {
-        fn h(v: OrdF64) -> u64 {
-            use std::hash::{Hash, Hasher};
-            let mut s = std::collections::hash_map::DefaultHasher::new();
-            v.hash(&mut s);
-            s.finish()
-        }
-        assert_eq!(h(OrdF64(1.5)), h(OrdF64(1.5)));
-        // Distinct under Eq (total_cmp) ⇒ allowed (and here, guaranteed)
-        // to hash differently: the bit patterns differ.
-        assert_ne!(h(OrdF64(-0.0)), h(OrdF64(0.0)));
     }
 }

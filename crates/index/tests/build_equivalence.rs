@@ -10,11 +10,21 @@
 //! reused by later appends) and check the build against independent
 //! oracles: every stored hash and state recomputed from the node's
 //! string value, and a string index filled by one-at-a-time inserts.
+//!
+//! A WAL insert splits the same build over two threads: the caller
+//! shreds and loads the string index while the log helper loads the
+//! typed (and substring) indexes. The last test holds that split build
+//! equal to `IndexManager::build`.
 
 use xvi_datagen::Dataset;
 use xvi_hash::hash_str;
-use xvi_index::{IndexConfig, IndexManager, StringIndex, XmlType};
+use xvi_index::{
+    IndexConfig, IndexManager, IndexService, Lookup, ServiceConfig, StringIndex, XmlType,
+};
 use xvi_xml::{Document, NodeId, NodeKind};
+
+mod common;
+use common::index_state;
 
 struct Rng(u64);
 
@@ -134,7 +144,10 @@ fn build_matches_independent_oracles_on_scrambled_documents() {
         }
         let bulk = idx.string_index().unwrap();
         assert_eq!(bulk.len(), one_by_one.len(), "seed {seed}");
-        assert_eq!(bulk.root_hash(), one_by_one.root_hash(), "seed {seed}");
+        assert!(
+            bulk.entries().eq(one_by_one.entries()),
+            "seed {seed}: (hash, node) entries differ"
+        );
     }
 }
 
@@ -154,8 +167,68 @@ fn subtree_insertion_after_build_stays_equivalent() {
     }
     idx.verify_against(&doc).unwrap();
     let fresh = IndexManager::build(&doc, config());
-    assert_eq!(
-        idx.string_index().unwrap().root_hash(),
-        fresh.string_index().unwrap().root_hash()
-    );
+    assert!(idx
+        .string_index()
+        .unwrap()
+        .entries()
+        .eq(fresh.string_index().unwrap().entries()));
+}
+
+#[test]
+fn wal_insert_builds_what_build_builds() {
+    let dir = std::env::temp_dir().join(format!("xvi-split-build-{}", std::process::id()));
+    for config in [IndexConfig::default(), IndexConfig::all()] {
+        let _ = std::fs::remove_dir_all(&dir);
+        let service = IndexService::open(
+            ServiceConfig::with_shards(2)
+                .with_index(config.clone())
+                .with_wal(&dir),
+        )
+        .unwrap();
+        for ds in Dataset::paper_suite() {
+            let doc = Document::parse(&ds.generate(2)).unwrap();
+            let built = IndexManager::build(&doc, config.clone());
+            service.insert_document(ds.name(), doc);
+            service
+                .read(&ds.name(), |doc, inserted| {
+                    let name = ds.name();
+                    assert!(
+                        index_state(doc, inserted) == index_state(doc, &built),
+                        "{name}: inserted index differs from build under {config:?}"
+                    );
+                    let (a, b) = (inserted.string_index(), built.string_index());
+                    assert!(a.unwrap().entries().eq(b.unwrap().entries()), "{name}");
+                    for &ty in &config.typed {
+                        // `index_state` reads the node trees; the value
+                        // trees answer this scan.
+                        let all = Lookup::typed_range(ty, f64::NEG_INFINITY..=f64::INFINITY);
+                        assert_eq!(
+                            inserted.query(doc, &all).unwrap(),
+                            built.query(doc, &all).unwrap(),
+                            "{name}: {ty:?} value order"
+                        );
+                    }
+                    match (inserted.substring_index(), built.substring_index()) {
+                        (None, None) => assert!(!config.substring_index),
+                        (Some(a), Some(b)) => {
+                            assert_eq!(
+                                (a.postings(), a.indexed_nodes()),
+                                (b.postings(), b.indexed_nodes()),
+                                "{name}"
+                            );
+                            let needle = Lookup::contains("ing");
+                            assert_eq!(
+                                inserted.query(doc, &needle).unwrap(),
+                                built.query(doc, &needle).unwrap(),
+                                "{name}"
+                            );
+                        }
+                        _ => panic!("{name}: substring index presence differs"),
+                    }
+                })
+                .unwrap();
+        }
+        drop(service);
+    }
+    let _ = std::fs::remove_dir_all(&dir);
 }

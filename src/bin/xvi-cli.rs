@@ -22,8 +22,8 @@
 //! subcommand evaluate one mini-XPath query (with `--explain` showing
 //! the cost-based plan and estimated vs. actual cardinalities per
 //! candidate predicate), let the `stats` subcommand dump each index's
-//! B+tree `TreeStats` (entries, depth, pages/shared_pages/free_slots,
-//! root hash) and the substring q-gram table of a loaded document,
+//! B+tree `TreeStats` (entries, depth, pages/shared_pages/free_slots)
+//! and the substring q-gram table of a loaded document,
 //! or let the `stress` subcommand drive the sharded index service with
 //! a mixed concurrent workload and report throughput **and latency
 //! percentiles** (p50/p99 for commits and reads separately;
@@ -378,8 +378,8 @@ fn run_stats_cmd(args: &[String]) -> Result<(), String> {
 fn tree_line(label: &str, t: xvi::btree::TreeStats) {
     println!(
         "  {label}: {} entries, depth {}, {} leaves / {} internals, \
-         {} pages ({} shared, {} free slots), root hash {:016x}",
-        t.len, t.depth, t.leaves, t.internals, t.pages, t.shared_pages, t.free_slots, t.root_hash
+         {} pages ({} shared, {} free slots)",
+        t.len, t.depth, t.leaves, t.internals, t.pages, t.shared_pages, t.free_slots
     );
     let probes = t.cache_hits + t.cache_partial_hits + t.cache_misses;
     if probes > 0 {
@@ -394,7 +394,7 @@ fn tree_line(label: &str, t: xvi::btree::TreeStats) {
 }
 
 /// Dumps every configured index's B+tree shape (`TreeStats`: entry
-/// count, depth, pages, root hash) and the substring index's q-gram
+/// count, depth, pages) and the substring index's q-gram
 /// table — the only statistics an estimate reads beside the trees.
 fn print_index_trees(idx: &IndexManager) {
     if let Some(s) = idx.string_index() {
@@ -1013,23 +1013,30 @@ fn run_serve_cmd(args: &[String]) -> Result<(), String> {
     eprintln!("serving a {ops}-request mixed workload (2 tenants, 90/10 read/write) …");
     let mut tickets = Vec::new();
     for i in 0..ops {
-        let doc_id = format!("d{}", i % docs_n);
-        let request = if i % 10 == 9 {
-            let mut txn = service.begin();
-            txn.set_value(value_nodes[i % docs_n], format!("v{i}"));
-            Request::Commit { doc: doc_id, txn }
-        } else {
-            Request::Query {
-                doc: doc_id,
-                lookup: Lookup::range_f64(10.0..=20.0),
+        let request = || {
+            let doc = format!("d{}", i % docs_n);
+            if i % 10 == 9 {
+                let mut txn = service.begin();
+                txn.set_value(value_nodes[i % docs_n], format!("v{i}"));
+                Request::Commit { doc, txn }
+            } else {
+                Request::Query {
+                    doc,
+                    lookup: Lookup::range_f64(10.0..=20.0),
+                }
             }
         };
         let tenant = if i % 2 == 0 { "even" } else { "odd" };
-        match server.submit(tenant, request) {
-            Ok(t) => tickets.push(t),
-            Err(ServeError::Overloaded { retry_after }) => std::thread::sleep(retry_after),
-            Err(e) => return Err(format!("serve: {e}")),
-        }
+        // A refused request is consumed by `submit`: wait out the
+        // hint, then submit a fresh copy until one is admitted.
+        let ticket = loop {
+            match server.submit(tenant, request()) {
+                Ok(t) => break t,
+                Err(ServeError::Overloaded { retry_after }) => std::thread::sleep(retry_after),
+                Err(e) => return Err(format!("serve: {e}")),
+            }
+        };
+        tickets.push(ticket);
     }
     for t in &tickets {
         t.wait().map_err(|e| format!("serve: {e}"))?;
