@@ -70,7 +70,7 @@ pub use service::{
 pub use stats::{CardinalityEstimate, QGramTable};
 pub use string_index::StringIndex;
 pub use substring::SubstringIndex;
-pub use txn::{Transaction, TransactionalStore};
+pub use txn::Transaction;
 pub use typed_index::TypedIndex;
 pub use util::OrdF64;
 

@@ -548,9 +548,33 @@ impl IndexManager {
     }
 
     /// Compares this (incrementally maintained) index against a fresh
-    /// rebuild; any divergence is a maintenance bug. Test/debug aid.
+    /// rebuild from the same config; any divergence — including an
+    /// index the config names but this manager lacks, or one it holds
+    /// unconfigured — is a maintenance bug. Test/debug aid.
     pub fn verify_against(&self, doc: &Document) -> Result<(), String> {
         let fresh = IndexManager::build(doc, self.config.clone());
+        let present = |stored: bool, configured: bool, what: &str| {
+            if stored == configured {
+                Ok(())
+            } else {
+                Err(format!(
+                    "{what} index: stored {stored}, configured {configured}"
+                ))
+            }
+        };
+        present(self.string.is_some(), fresh.string.is_some(), "string")?;
+        present(
+            self.substring.is_some(),
+            fresh.substring.is_some(),
+            "substring",
+        )?;
+        let stored_types: Vec<XmlType> = self.typed.iter().map(|t| t.xml_type()).collect();
+        let fresh_types: Vec<XmlType> = fresh.typed.iter().map(|t| t.xml_type()).collect();
+        if stored_types != fresh_types {
+            return Err(format!(
+                "typed indexes: stored {stored_types:?}, configured {fresh_types:?}"
+            ));
+        }
         let mut nodes: Vec<NodeId> = doc.descendants_or_self(doc.document_node()).collect();
         let attrs: Vec<NodeId> = nodes
             .iter()
@@ -566,9 +590,8 @@ impl IndexManager {
                     doc.string_value(n)
                 ));
             }
-            for idx in &self.typed {
+            for (idx, fresh_idx) in self.typed.iter().zip(&fresh.typed) {
                 let ty = idx.xml_type();
-                let fresh_idx = fresh.typed_index(ty).expect("same config");
                 if idx.state_of(n) != fresh_idx.state_of(n) {
                     return Err(format!("{} state mismatch at {n:?}", ty.name()));
                 }
@@ -587,8 +610,7 @@ impl IndexManager {
                 ));
             }
         }
-        for idx in &self.typed {
-            let f = fresh.typed_index(idx.xml_type()).expect("same config");
+        for (idx, f) in self.typed.iter().zip(&fresh.typed) {
             if idx.stored_states() != f.stored_states() || idx.stored_values() != f.stored_values()
             {
                 return Err(format!("{} index size mismatch", idx.xml_type().name()));
@@ -934,6 +956,25 @@ mod tests {
             1
         );
         idx.verify_against(&doc).unwrap();
+    }
+
+    /// A manager missing an index its config names must not verify
+    /// clean, whichever kind of index is missing.
+    #[test]
+    fn verify_against_rejects_a_missing_configured_index() {
+        let doc = Document::parse(PERSON).unwrap();
+        let full = IndexManager::build(&doc, IndexConfig::all());
+        full.verify_against(&doc).unwrap();
+        let drops: [fn(&mut IndexManager); 3] = [
+            |m| m.string = None,
+            |m| m.substring = None,
+            |m| drop(m.typed.pop()),
+        ];
+        for drop_one in drops {
+            let mut idx = full.clone();
+            drop_one(&mut idx);
+            assert!(idx.verify_against(&doc).is_err());
+        }
     }
 
     #[test]

@@ -1,11 +1,11 @@
 //! A sharded, multi-document index service with group commit.
 //!
-//! [`TransactionalStore`](crate::TransactionalStore) demonstrates the
-//! paper's §5.1 commutativity argument for a single document behind one
-//! lock. This module scales that argument out: an [`IndexService`]
-//! hosts many `(Document, IndexManager)` pairs across `N` shards
-//! (hash of the document id picks the shard), and turns the
-//! per-commit lock into a **group-commit pipeline**:
+//! The paper's §5.1 commutativity argument (see [`crate::txn`]) makes
+//! commits to one document order-independent. This module scales that
+//! argument out: an [`IndexService`] hosts many
+//! `(Document, IndexManager)` pairs across `N` shards (hash of the
+//! document id picks the shard), and turns the per-commit lock into a
+//! **group-commit pipeline**:
 //!
 //! * Committers **submit** their write batches to the owning shard's
 //!   queue without blocking: [`IndexService::submit`] enqueues and
@@ -230,19 +230,10 @@ pub struct CommitReceipt {
     pub applied: usize,
 }
 
-/// Mutex-guarded interior of a [`CommitSlot`]: the commit outcome plus
-/// the waker of an `await`ing task, if any.
-struct SlotState {
-    result: Option<Result<CommitReceipt, IndexError>>,
-    /// Registered by [`CommitTicket`]'s `Future::poll`; woken (outside
-    /// the lock) by [`CommitSlot::fill`].
-    waker: Option<std::task::Waker>,
-}
-
 /// Per-ticket completion slot, filled exactly once by the group
 /// leader (or the unwind guards, if a leader panics mid-round).
 struct CommitSlot {
-    state: Mutex<SlotState>,
+    result: Mutex<Option<Result<CommitReceipt, IndexError>>>,
     cv: Condvar,
     /// Whether `fill` has run — checked by the unwind guards so a
     /// slot is filled exactly once even if a leader panics mid-round.
@@ -252,10 +243,7 @@ struct CommitSlot {
 impl CommitSlot {
     fn new() -> CommitSlot {
         CommitSlot {
-            state: Mutex::new(SlotState {
-                result: None,
-                waker: None,
-            }),
+            result: Mutex::new(None),
             cv: Condvar::new(),
             filled: AtomicBool::new(false),
         }
@@ -263,7 +251,7 @@ impl CommitSlot {
 
     fn completed(r: Result<CommitReceipt, IndexError>) -> Arc<CommitSlot> {
         let slot = CommitSlot::new();
-        slot.state.lock().unwrap_or_else(|e| e.into_inner()).result = Some(r);
+        *slot.result.lock().unwrap_or_else(|e| e.into_inner()) = Some(r);
         slot.filled.store(true, Ordering::SeqCst);
         Arc::new(slot)
     }
@@ -272,31 +260,23 @@ impl CommitSlot {
         if self.filled.swap(true, Ordering::SeqCst) {
             return;
         }
-        let mut st = self.state.lock().unwrap_or_else(|e| e.into_inner());
-        st.result = Some(r);
-        let waker = st.waker.take();
+        *self.result.lock().unwrap_or_else(|e| e.into_inner()) = Some(r);
         self.cv.notify_all();
-        drop(st);
-        // Wake outside the lock: the woken task may poll immediately.
-        if let Some(w) = waker {
-            w.wake();
-        }
     }
 
     /// The result, if the commit completed — the slot keeps it, so the
     /// probe can be repeated.
     fn get(&self) -> Option<Result<CommitReceipt, IndexError>> {
-        self.state
+        self.result
             .lock()
             .unwrap_or_else(|e| e.into_inner())
-            .result
             .clone()
     }
 
     fn wait_filled(&self) -> Result<CommitReceipt, IndexError> {
-        let mut st = self.state.lock().unwrap_or_else(|e| e.into_inner());
+        let mut st = self.result.lock().unwrap_or_else(|e| e.into_inner());
         loop {
-            if let Some(r) = st.result.as_ref() {
+            if let Some(r) = st.as_ref() {
                 return r.clone();
             }
             st = self.cv.wait(st).unwrap_or_else(|e| e.into_inner());
@@ -386,81 +366,6 @@ impl CommitTicket<'_> {
     /// `try_poll().is_some()`).
     pub fn is_complete(&self) -> bool {
         self.slot.filled.load(Ordering::SeqCst)
-    }
-}
-
-/// `CommitTicket` is a [`Future`](std::future::Future): `.await` (or a
-/// manual `poll`) resolves to the same receipt `wait` returns.
-///
-/// Polling is **cooperative**, mirroring [`CommitTicket::wait`]: a
-/// poll that finds the commit still queued registers its waker in the
-/// completion slot and, if no leader is active on the shard, drains
-/// the queue itself — so a lone awaiter always makes progress, even on
-/// a single-threaded executor, and never deadlocks. When another
-/// leader owns the round, the poll returns
-/// [`Poll::Pending`](std::task::Poll::Pending) immediately and the
-/// leader wakes the stored waker right after it publishes.
-///
-/// ```
-/// use xvi_index::{Document, IndexService, ServiceConfig};
-/// use std::future::Future;
-/// use std::task::{Context, Poll, Waker};
-///
-/// let service = IndexService::new(ServiceConfig::default());
-/// service.insert_document("crew", Document::parse(
-///     "<person><name>Arthur</name></person>").unwrap());
-/// let node = service.read("crew", |doc, _| {
-///     doc.descendants(doc.document_node())
-///         .find(|&n| doc.direct_value(n).is_some()).unwrap()
-/// }).unwrap();
-///
-/// let mut txn = service.begin();
-/// txn.set_value(node, "Ford");
-/// let mut ticket = service.submit("crew", txn);
-/// // Executor-free await: one poll is enough because the poll takes
-/// // over shard leadership when nobody else is driving.
-/// let mut cx = Context::from_waker(Waker::noop());
-/// match std::pin::Pin::new(&mut ticket).poll(&mut cx) {
-///     Poll::Ready(receipt) => assert_eq!(receipt.unwrap().applied, 1),
-///     Poll::Pending => unreachable!("no other leader is active"),
-/// }
-/// ```
-impl std::future::Future for CommitTicket<'_> {
-    type Output = Result<CommitReceipt, IndexError>;
-
-    fn poll(
-        self: std::pin::Pin<&mut Self>,
-        cx: &mut std::task::Context<'_>,
-    ) -> std::task::Poll<Self::Output> {
-        let this = self.get_mut();
-        // Park the waker FIRST, before looking for an active leader:
-        // `fill` runs under the same slot lock and wakes the stored
-        // waker, so from this point on no publish can complete without
-        // waking us. (Parking after the leader check would leave a
-        // window — leader observed active, leader publishes and fills,
-        // then we park a waker nobody will ever wake.)
-        {
-            let mut st = this.slot.state.lock().unwrap_or_else(|e| e.into_inner());
-            if let Some(r) = st.result.as_ref() {
-                return std::task::Poll::Ready(r.clone());
-            }
-            st.waker = Some(cx.waker().clone());
-        }
-        // Cooperative progress: help drain the shard unless a leader
-        // is already active (that leader fills the slot and wakes the
-        // waker parked above).
-        let shard = &this.service.shards[this.shard.expect("unfilled tickets carry a shard")];
-        if this.service.try_lead(shard) {
-            this.service.run_leader(shard);
-            // Self-driving resolved the commit (fill consumed the
-            // parked waker — a self-wake, which the contract allows);
-            // report Ready directly rather than waiting to be polled
-            // again.
-            if let Some(r) = this.slot.get() {
-                return std::task::Poll::Ready(r);
-            }
-        }
-        std::task::Poll::Pending
     }
 }
 
@@ -796,21 +701,7 @@ impl IndexService {
     /// recovering any existing checkpoint + logs) and panics on I/O
     /// failure; call `open` directly to handle such failures.
     pub fn new(config: ServiceConfig) -> IndexService {
-        IndexService::new_with_obs(config, Obs::new())
-    }
-
-    /// [`IndexService::new`] reporting into an existing observability
-    /// hub (shared registry/tracer across layers, or an injected test
-    /// clock via [`Obs::with_clock`]).
-    pub fn new_with_obs(config: ServiceConfig, obs: Arc<Obs>) -> IndexService {
-        match config.durability {
-            Durability::Ephemeral => {
-                let shards = config.shards.max(1);
-                IndexService::build(config, (0..shards).map(|_| None).collect(), obs)
-            }
-            Durability::Wal(_) => IndexService::open_with_obs(config, obs)
-                .expect("opening the WAL-backed service failed"),
-        }
+        IndexService::open(config).expect("opening the WAL-backed service failed")
     }
 
     fn build(config: ServiceConfig, wals: Vec<Option<ShardWal>>, obs: Arc<Obs>) -> IndexService {
@@ -849,12 +740,7 @@ impl IndexService {
     /// The result is byte-identical to a serial replay of the durable
     /// prefix of the commit history.
     pub fn open(config: ServiceConfig) -> io::Result<IndexService> {
-        IndexService::open_with_obs(config, Obs::new())
-    }
-
-    /// [`IndexService::open`] reporting into an existing observability
-    /// hub.
-    pub fn open_with_obs(config: ServiceConfig, obs: Arc<Obs>) -> io::Result<IndexService> {
+        let obs = Obs::new();
         let Durability::Wal(dir) = config.durability.clone() else {
             let shards = config.shards.max(1);
             return Ok(IndexService::build(
@@ -1434,6 +1320,14 @@ impl IndexService {
     /// behave exactly like [`IndexService::submit`] (an
     /// already-completed ticket), since they occupy no queue space.
     ///
+    /// With `trace: None` the tracer's sampler decides whether the
+    /// service traces the commit itself. A caller-owned [`Trace`] makes
+    /// the group-commit leader record the queue wait and attribute the
+    /// round's WAL-append / fsync / publish timings to it, but the
+    /// **caller** finishes it (after the ticket resolves), so the
+    /// trace's total spans the caller's whole request, not just the
+    /// pipeline's part.
+    ///
     /// ```
     /// use xvi_index::{Document, IndexError, IndexService, ServiceConfig};
     ///
@@ -1449,7 +1343,7 @@ impl IndexService {
     /// let submit = |v: &str| {
     ///     let mut txn = service.begin();
     ///     txn.set_value(node, v);
-    ///     service.try_submit("crew", txn)
+    ///     service.try_submit("crew", txn, None)
     /// };
     /// // Nothing drives the pipeline yet, so the queue fills.
     /// let t1 = submit("a").unwrap();
@@ -1463,20 +1357,6 @@ impl IndexService {
     /// assert!(submit("c").is_ok());
     /// ```
     pub fn try_submit(
-        &self,
-        doc_id: &str,
-        txn: Transaction,
-    ) -> Result<CommitTicket<'_>, IndexError> {
-        self.enqueue(doc_id, txn, self.config.max_queue.max(1), None)
-    }
-
-    /// [`IndexService::try_submit`] under an externally owned
-    /// [`Trace`]: the group-commit leader records the queue wait and
-    /// attributes the round's WAL-append / fsync / publish timings to
-    /// the trace, but the **caller** finishes it (after the ticket
-    /// resolves), so the trace's total spans the caller's whole
-    /// request, not just the pipeline's part.
-    pub fn try_submit_traced(
         &self,
         doc_id: &str,
         txn: Transaction,
@@ -1839,8 +1719,7 @@ impl IndexService {
                         // observe this version: update it in place at
                         // the paper's O(writes + ancestors) cost
                         // (readers briefly queue on the published
-                        // lock, exactly like the pre-service
-                        // TransactionalStore). `make_mut` on the inner
+                        // lock). `make_mut` on the inner
                         // document is in-place too unless an older
                         // version still shares it.
                         let before = version.idx.pages_detached();
@@ -2345,7 +2224,14 @@ mod tests {
     fn submit_against_missing_doc_returns_completed_error_ticket() {
         let service = service_with_two_docs();
         let ticket = service.submit("nope", service.begin());
+        // Born completed: the outcome is there at once, and repeatedly.
         assert!(ticket.is_complete());
+        for _ in 0..2 {
+            assert!(matches!(
+                ticket.try_poll(),
+                Some(Err(IndexError::UnknownDocument(_)))
+            ));
+        }
         assert!(matches!(
             ticket.wait().unwrap_err(),
             IndexError::UnknownDocument(id) if id == "nope"
@@ -2478,103 +2364,67 @@ mod tests {
         assert!(after.query(&Lookup::equi("1234")).unwrap().is_empty());
     }
 
-    /// Executor-free `Future` smoke: polling a queued ticket takes
-    /// over leadership and resolves in one poll; completed tickets
-    /// resolve immediately and repeatedly.
+    /// With no leader active, the ticket resolves cooperatively: the
+    /// lone waiter drives the pipeline itself, and a born-completed
+    /// ticket (unknown doc) resolves without touching any shard.
     #[test]
     fn ticket_future_resolves_via_cooperative_poll() {
-        use std::future::Future;
-        use std::pin::Pin;
-        use std::task::{Context, Poll, Waker};
-
         let service = service_with_two_docs();
         let node = service
             .read("a", |doc, _| text_node(doc, "Arthur"))
             .unwrap();
         let mut txn = service.begin();
         txn.set_value(node, "Tricia");
-        let mut ticket = service.submit("a", txn);
+        let ticket = service.submit("a", txn);
+        // Probing never does pipeline work, so the commit stays queued.
         assert!(!ticket.is_complete());
-        let mut cx = Context::from_waker(Waker::noop());
-        match Pin::new(&mut ticket).poll(&mut cx) {
-            Poll::Ready(r) => {
-                let receipt = r.unwrap();
-                assert_eq!((receipt.version, receipt.applied), (1, 1));
-            }
-            Poll::Pending => panic!("lone poll must drive the pipeline"),
-        }
-        // Re-polling a resolved ticket stays Ready.
-        assert!(matches!(
-            Pin::new(&mut ticket).poll(&mut cx),
-            Poll::Ready(Ok(_))
-        ));
-        // Born-completed tickets (unknown doc) resolve immediately.
-        let mut dead = service.submit("nope", service.begin());
-        assert!(matches!(
-            Pin::new(&mut dead).poll(&mut cx),
-            Poll::Ready(Err(IndexError::UnknownDocument(_)))
-        ));
+        assert!(ticket.try_poll().is_none());
+        let receipt = ticket.wait().expect("lone waiter must drive the pipeline");
+        assert_eq!((receipt.version, receipt.applied), (1, 1));
+        assert_eq!(service.version_of("a"), Some(1));
+        let dead = service.submit("nope", service.begin());
+        assert!(matches!(dead.wait(), Err(IndexError::UnknownDocument(_))));
     }
 
-    /// The waker parked by a `Pending` poll must be woken by the
-    /// leader that publishes the commit. An active leader is simulated
-    /// by flipping the shard's `leader_active` flag, which forces the
-    /// first poll down the Pending path deterministically.
+    /// A waiter that finds another leader mid-round blocks on its slot
+    /// and must be woken by the leader that publishes its commit. An
+    /// active leader is simulated by flipping the shard's
+    /// `leader_active` flag, which forces the first `wait` down the
+    /// blocking path deterministically.
     #[test]
-    fn parked_waker_is_woken_by_the_publishing_leader() {
-        use std::future::Future;
-        use std::pin::Pin;
-        use std::sync::atomic::AtomicUsize;
-        use std::task::{Context, Poll, Wake, Waker};
-
-        struct CountingWake(AtomicUsize);
-        impl Wake for CountingWake {
-            fn wake(self: Arc<Self>) {
-                self.0.fetch_add(1, Ordering::SeqCst);
-            }
-        }
-
+    fn blocked_waiter_is_woken_by_the_publishing_leader() {
         let service = IndexService::new(ServiceConfig::with_shards(1));
         service.insert_document("a", Document::parse(DOC_A).unwrap());
         let node = service
             .read("a", |doc, _| text_node(doc, "Arthur"))
             .unwrap();
+        let set_leader = |active: bool| {
+            service.shards[0]
+                .pipeline
+                .state
+                .lock()
+                .unwrap()
+                .leader_active = active;
+        };
         let mut txn = service.begin();
         txn.set_value(node, "Random");
-        let mut ticket = service.submit("a", txn);
+        let ticket = service.submit("a", txn);
 
         // Pretend another thread is mid-round on the shard.
-        service.shards[0]
-            .pipeline
-            .state
-            .lock()
-            .unwrap()
-            .leader_active = true;
-        let wake_count = Arc::new(CountingWake(AtomicUsize::new(0)));
-        let waker = Waker::from(Arc::clone(&wake_count));
-        let mut cx = Context::from_waker(&waker);
-        assert!(
-            Pin::new(&mut ticket).poll(&mut cx).is_pending(),
-            "an active leader owns the round: poll must park the waker"
-        );
-        assert_eq!(wake_count.0.load(Ordering::SeqCst), 0);
-        service.shards[0]
-            .pipeline
-            .state
-            .lock()
-            .unwrap()
-            .leader_active = false;
-
-        // A second committer's blocking wait drains the queue and must
-        // wake the parked waker when it fills the first slot.
-        let mut txn2 = service.begin();
-        txn2.set_value(node, "Frankie");
-        service.commit("a", txn2).unwrap();
-        assert_eq!(wake_count.0.load(Ordering::SeqCst), 1);
-        match Pin::new(&mut ticket).poll(&mut cx) {
-            Poll::Ready(r) => assert_eq!(r.unwrap().applied, 1),
-            Poll::Pending => panic!("commit published: ticket must be ready"),
-        }
+        set_leader(true);
+        std::thread::scope(|s| {
+            let waiter = s.spawn(|| ticket.wait());
+            // The waiter cannot lead, so it parks on its slot.
+            std::thread::sleep(std::time::Duration::from_millis(20));
+            assert!(!waiter.is_finished(), "an active leader owns the round");
+            set_leader(false);
+            // A second committer's blocking wait drains the queue and
+            // must wake the parked waiter when it fills the first slot.
+            let mut txn2 = service.begin();
+            txn2.set_value(node, "Frankie");
+            service.commit("a", txn2).unwrap();
+            assert_eq!(waiter.join().unwrap().unwrap().applied, 1);
+        });
         assert_eq!(service.version_of("a"), Some(2));
     }
 
@@ -2771,7 +2621,7 @@ mod tests {
         let submit = |v: String| {
             let mut txn = service.begin();
             txn.set_value(node, v);
-            service.try_submit("a", txn)
+            service.try_submit("a", txn, None)
         };
         // Nothing drives the pipeline, so the queue fills deterministically.
         let tickets: Vec<_> = (0..3).map(|i| submit(format!("v{i}")).unwrap()).collect();
@@ -2799,7 +2649,7 @@ mod tests {
         // Empty transactions occupy no queue space, so they are always
         // admitted (completed tickets), even at capacity.
         let _fill: Vec<_> = (0..3).map(|i| submit(format!("w{i}")).unwrap()).collect();
-        let empty = service.try_submit("a", service.begin()).unwrap();
+        let empty = service.try_submit("a", service.begin(), None).unwrap();
         assert!(empty.is_complete());
         for t in _fill.into_iter() {
             t.wait().unwrap();

@@ -11,34 +11,16 @@
 //! concurrent commits interleave in, the final hashes are the ones a
 //! serial execution would produce.
 //!
-//! [`TransactionalStore`] realises that protocol for the common
-//! single-document case. It is a thin facade over
-//! [`IndexService`] — one shard, one document —
-//! so commits flow through the same group-commit pipeline and reads
-//! are the same lock-free snapshots as in the multi-document service.
-//! The commutativity property itself — *any* commit order yields
-//! identical indices — is what the tests pin down.
+//! A [`Transaction`] is the buffered write batch of that protocol;
+//! [`IndexService`](crate::IndexService) commits it through its
+//! group-commit pipeline. The commutativity property itself — *any*
+//! commit order yields identical indices — is what the tests pin down,
+//! on a service holding one document.
 
-use xvi_xml::{Document, NodeId};
-
-use crate::config::IndexConfig;
-use crate::error::IndexError;
-use crate::manager::IndexManager;
-use crate::service::{CommitReceipt, CommitTicket, IndexService, ServiceConfig};
-
-/// The catalog id the facade registers its single document under.
-const DOC_ID: &str = "doc";
-
-/// A single document plus its indices behind the service's commit
-/// pipeline and snapshot machinery.
-#[derive(Debug)]
-pub struct TransactionalStore {
-    service: IndexService,
-}
+use xvi_xml::NodeId;
 
 /// A buffered batch of value updates; created by
-/// [`TransactionalStore::begin`] (or
-/// [`IndexService::begin`](crate::IndexService::begin)), applied
+/// [`IndexService::begin`](crate::IndexService::begin), applied
 /// atomically on commit.
 #[derive(Debug, Default, Clone)]
 pub struct Transaction {
@@ -82,62 +64,12 @@ impl Transaction {
     }
 }
 
-impl TransactionalStore {
-    /// Builds the store and its indices from a document.
-    pub fn new(doc: Document, config: IndexConfig) -> TransactionalStore {
-        let service = IndexService::new(ServiceConfig::with_shards(1).with_index(config));
-        service.insert_document(DOC_ID, doc);
-        TransactionalStore { service }
-    }
-
-    /// Starts a transaction. Read operations remain available to
-    /// everyone; nothing is locked by an open transaction.
-    pub fn begin(&self) -> Transaction {
-        self.service.begin()
-    }
-
-    /// Commits a transaction through the group-commit pipeline:
-    /// applies the buffered writes and repairs all affected ancestors
-    /// from the *latest* committed state, per the paper's protocol.
-    /// Blocks until published; equivalent to `submit(txn).wait()`.
-    pub fn commit(&self, txn: Transaction) -> Result<CommitReceipt, IndexError> {
-        self.service.commit(DOC_ID, txn)
-    }
-
-    /// Enqueues a transaction without blocking, returning a
-    /// [`CommitTicket`] so several commits can be kept in flight (see
-    /// [`IndexService::submit`]).
-    pub fn submit(&self, txn: Transaction) -> CommitTicket<'_> {
-        self.service.submit(DOC_ID, txn)
-    }
-
-    /// Runs a read-only closure over a lock-free snapshot of the
-    /// document and indices.
-    pub fn read<R>(&self, f: impl FnOnce(&Document, &IndexManager) -> R) -> R {
-        self.service
-            .read(DOC_ID, f)
-            .expect("the store's document is always registered")
-    }
-
-    /// Number of committed transactions.
-    pub fn commit_count(&self) -> u64 {
-        self.service.commit_count()
-    }
-
-    /// Consumes the store, returning the document and indices.
-    pub fn into_parts(self) -> (Document, IndexManager) {
-        self.service
-            .remove_document(DOC_ID)
-            .expect("the store's document is always registered")
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Lookup;
+    use crate::{IndexManager, IndexService, Lookup, ServiceConfig};
     use std::sync::Arc;
-    use xvi_xml::NodeKind;
+    use xvi_xml::{Document, NodeKind};
 
     const DOC: &str = "<person><name><first>Arthur</first><family>Dent</family></name>\
                        <age>42</age></person>";
@@ -148,8 +80,22 @@ mod tests {
             .unwrap()
     }
 
-    fn fingerprint(store: &TransactionalStore) -> Vec<Option<u32>> {
-        store.read(|doc, idx| {
+    /// The catalog id every test registers its one document under.
+    const DOC_ID: &str = "doc";
+
+    /// A one-shard service holding `doc` alone.
+    fn one_doc_service(doc: Document) -> IndexService {
+        let service = IndexService::new(ServiceConfig::with_shards(1));
+        service.insert_document(DOC_ID, doc);
+        service
+    }
+
+    fn read<R>(store: &IndexService, f: impl FnOnce(&Document, &IndexManager) -> R) -> R {
+        store.read(DOC_ID, f).expect("the document is registered")
+    }
+
+    fn fingerprint(store: &IndexService) -> Vec<Option<u32>> {
+        read(store, |doc, idx| {
             doc.descendants_or_self(doc.document_node())
                 .map(|n| idx.hash_of(n).map(|h| h.raw()))
                 .collect()
@@ -160,16 +106,16 @@ mod tests {
     fn single_transaction_commit() {
         let doc = Document::parse(DOC).unwrap();
         let first = text_node(&doc, "Arthur");
-        let store = TransactionalStore::new(doc, IndexConfig::default());
+        let store = one_doc_service(doc);
 
         let mut t = store.begin();
         assert!(t.is_empty());
         t.set_value(first, "Ford");
         assert_eq!(t.len(), 1);
-        assert_eq!(store.commit(t).unwrap().applied, 1);
+        assert_eq!(store.commit(DOC_ID, t).unwrap().applied, 1);
         assert_eq!(store.commit_count(), 1);
 
-        store.read(|doc, idx| {
+        read(&store, |doc, idx| {
             assert_eq!(idx.query(doc, &Lookup::equi("FordDent")).unwrap().len(), 1);
             idx.verify_against(doc).unwrap();
         });
@@ -178,8 +124,8 @@ mod tests {
     #[test]
     fn empty_commit_is_free() {
         let doc = Document::parse(DOC).unwrap();
-        let store = TransactionalStore::new(doc, IndexConfig::default());
-        assert_eq!(store.commit(store.begin()).unwrap().applied, 0);
+        let store = one_doc_service(doc);
+        assert_eq!(store.commit(DOC_ID, store.begin()).unwrap().applied, 0);
         assert_eq!(store.commit_count(), 0);
     }
 
@@ -192,19 +138,19 @@ mod tests {
             let doc = Document::parse(DOC).unwrap();
             let a = text_node(&doc, "Arthur");
             let d = text_node(&doc, "Dent");
-            let store = TransactionalStore::new(doc, IndexConfig::default());
+            let store = one_doc_service(doc);
             let mut t1 = store.begin();
             t1.set_value(a, "Ford");
             let mut t2 = store.begin();
             t2.set_value(d, "Prefect");
             if first_order {
-                store.commit(t1).unwrap();
-                store.commit(t2).unwrap();
+                store.commit(DOC_ID, t1).unwrap();
+                store.commit(DOC_ID, t2).unwrap();
             } else {
-                store.commit(t2).unwrap();
-                store.commit(t1).unwrap();
+                store.commit(DOC_ID, t2).unwrap();
+                store.commit(DOC_ID, t1).unwrap();
             }
-            store.read(|doc, idx| idx.verify_against(doc).unwrap());
+            read(&store, |doc, idx| idx.verify_against(doc).unwrap());
             fingerprint(&store)
         };
         assert_eq!(run(true), run(false));
@@ -216,7 +162,7 @@ mod tests {
         let a = text_node(&doc, "Arthur");
         let d = text_node(&doc, "Dent");
         let g = text_node(&doc, "42");
-        let store = Arc::new(TransactionalStore::new(doc, IndexConfig::default()));
+        let store = Arc::new(one_doc_service(doc));
 
         let handles: Vec<_> = [(a, "Zaphod"), (d, "Beeblebrox"), (g, "200")]
             .into_iter()
@@ -225,7 +171,7 @@ mod tests {
                 std::thread::spawn(move || {
                     let mut t = store.begin();
                     t.set_value(node, val);
-                    store.commit(t).unwrap();
+                    store.commit(DOC_ID, t).unwrap();
                 })
             })
             .collect();
@@ -234,7 +180,7 @@ mod tests {
         }
 
         assert_eq!(store.commit_count(), 3);
-        store.read(|doc, idx| {
+        read(&store, |doc, idx| {
             assert_eq!(
                 idx.query(doc, &Lookup::equi("ZaphodBeeblebrox"))
                     .unwrap()
@@ -255,16 +201,16 @@ mod tests {
     fn conflicting_writes_last_commit_wins() {
         let doc = Document::parse(DOC).unwrap();
         let a = text_node(&doc, "Arthur");
-        let store = TransactionalStore::new(doc, IndexConfig::default());
+        let store = one_doc_service(doc);
 
         let mut t1 = store.begin();
         t1.set_value(a, "Ford");
         let mut t2 = store.begin();
         t2.set_value(a, "Zaphod");
-        store.commit(t1).unwrap();
-        store.commit(t2).unwrap();
+        store.commit(DOC_ID, t1).unwrap();
+        store.commit(DOC_ID, t2).unwrap();
 
-        store.read(|doc, idx| {
+        read(&store, |doc, idx| {
             assert!(idx
                 .query(doc, &Lookup::equi("FordDent"))
                 .unwrap()
@@ -283,14 +229,14 @@ mod tests {
         let a = text_node(&doc, "Arthur");
         let d = text_node(&doc, "Dent");
         let g = text_node(&doc, "42");
-        let store = TransactionalStore::new(doc, IndexConfig::default());
+        let store = one_doc_service(doc);
 
         let mut t = store.begin();
         t.set_value(a, "Tricia");
         t.set_value(d, "McMillan");
         t.set_value(g, "30");
-        assert_eq!(store.commit(t).unwrap().applied, 3);
-        store.read(|doc, idx| {
+        assert_eq!(store.commit(DOC_ID, t).unwrap().applied, 3);
+        read(&store, |doc, idx| {
             assert_eq!(
                 idx.query(doc, &Lookup::equi("TriciaMcMillan"))
                     .unwrap()
@@ -316,7 +262,7 @@ mod tests {
         let doc = Document::parse(DOC).unwrap();
         let a = text_node(&doc, "Arthur");
         let d = text_node(&doc, "Dent");
-        let store = TransactionalStore::new(doc, IndexConfig::default());
+        let store = one_doc_service(doc);
 
         let mut t = store.begin();
         t.set_value(a, "Ford");
@@ -325,8 +271,8 @@ mod tests {
         t.set_value(a, "Tricia");
         // Two buffered entries for two distinct nodes, not four.
         assert_eq!(t.len(), 2);
-        assert_eq!(store.commit(t).unwrap().applied, 2);
-        store.read(|doc, idx| {
+        assert_eq!(store.commit(DOC_ID, t).unwrap().applied, 2);
+        read(&store, |doc, idx| {
             assert_eq!(
                 idx.query(doc, &Lookup::equi("TriciaPrefect"))
                     .unwrap()
@@ -345,11 +291,11 @@ mod tests {
     fn into_parts_returns_the_final_state() {
         let doc = Document::parse(DOC).unwrap();
         let a = text_node(&doc, "Arthur");
-        let store = TransactionalStore::new(doc, IndexConfig::default());
+        let store = one_doc_service(doc);
         let mut t = store.begin();
         t.set_value(a, "Random");
-        store.commit(t).unwrap();
-        let (doc, idx) = store.into_parts();
+        store.commit(DOC_ID, t).unwrap();
+        let (doc, idx) = store.remove_document(DOC_ID).unwrap();
         assert_eq!(
             idx.query(&doc, &Lookup::equi("RandomDent")).unwrap().len(),
             1
@@ -360,18 +306,18 @@ mod tests {
     fn reads_see_committed_state_only() {
         let doc = Document::parse(DOC).unwrap();
         let a = text_node(&doc, "Arthur");
-        let store = TransactionalStore::new(doc, IndexConfig::default());
+        let store = one_doc_service(doc);
         let mut t = store.begin();
         t.set_value(a, "Ford");
         // Not yet committed: reads still see Arthur.
-        store.read(|doc, idx| {
+        read(&store, |doc, idx| {
             assert_eq!(
                 idx.query(doc, &Lookup::equi("ArthurDent")).unwrap().len(),
                 1
             );
         });
-        store.commit(t).unwrap();
-        store.read(|doc, idx| {
+        store.commit(DOC_ID, t).unwrap();
+        read(&store, |doc, idx| {
             assert!(idx
                 .query(doc, &Lookup::equi("ArthurDent"))
                 .unwrap()

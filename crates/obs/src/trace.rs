@@ -44,7 +44,8 @@ pub enum Stage {
     /// Structural verification walk (anchor verification + forward
     /// walk, or the fallback scan).
     VerifyWalk,
-    /// Executor time not attributed to a finer stage.
+    /// Time spent executing a request not attributed to a finer stage
+    /// (a scan plan, a CLI command).
     Execute,
 }
 

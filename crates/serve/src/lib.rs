@@ -1,14 +1,15 @@
-//! # xvi-serve — an async serving frontend for the index service
+//! # xvi-serve — a serving frontend for the index service
 //!
 //! The paper's service layer ([`xvi_index::IndexService`]) gives the
-//! engine-side contract: non-blocking group-committed writes and
-//! lock-free snapshot reads. This crate adds the *operational* layer a
-//! deployment needs in front of it, built without an external runtime:
+//! engine-side contract: group-committed writes and lock-free snapshot
+//! reads, both synchronous. This crate adds the *operational* layer a
+//! deployment needs in front of it, on plain threads:
 //!
-//! * **A hand-rolled executor** ([`Executor`]) — a fixed worker pool
-//!   polling spawned futures, with a hashed [`TimerWheel`] over an
-//!   injectable [`Clock`] so backoff and timeouts are deterministic
-//!   under test ([`ManualClock`]).
+//! * **Worker threads** ([`Server`]) — a fixed pool, each worker
+//!   picking the next request itself and running it to completion: a
+//!   query probes a snapshot, a commit submits to its shard's bounded
+//!   queue and waits for the group-commit round, sleeping out the
+//!   shard's backoff hint when the queue is full.
 //! * **Admission control** — bounded per-tenant queues that reject
 //!   with a typed [`ServeError::Overloaded`] carrying a suggested
 //!   backoff, composed with [`xvi_index::IndexService::try_submit`]'s
@@ -71,20 +72,16 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod executor;
 pub mod export;
 pub mod server;
-pub mod timer;
 
 // The clock and latency histogram started life in this crate and now
 // live in `xvi-obs` so every layer can share them; re-exported here so
 // existing `xvi_serve::{clock, histogram}` paths keep working.
 pub use xvi_obs::{clock, histogram};
 
-pub use executor::{Executor, Sleep};
 pub use export::{Column, ExportFormat, ExportParseError, ExportSpec};
 pub use server::{
     Request, Response, ResponseTicket, ServeError, Server, ServerConfig, ServerStats,
 };
-pub use timer::TimerWheel;
 pub use xvi_obs::{Clock, HistogramSnapshot, LatencyHistogram, ManualClock, MonotonicClock};

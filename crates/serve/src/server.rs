@@ -8,21 +8,26 @@
 //! growing latency without bound (an open-loop arrival process has no
 //! other way to learn it should slow down).
 //!
-//! Admitted requests are dispatched by **deficit round-robin** across
-//! tenants: each scheduling round tops up the head tenant's deficit by
-//! a quantum and dispatches while the deficit covers the next
-//! request's cost. A tenant offering 10× the load gets at most its
-//! round-robin share of dispatch slots, so a cold tenant's tail
-//! latency stays within a constant factor of running alone.
+//! Admitted requests are served by a fixed pool of plain worker
+//! threads. A free worker picks the next request by **deficit
+//! round-robin** across tenants: each scheduling round tops up the
+//! head tenant's deficit by a quantum and dispatches while the deficit
+//! covers the next request's cost. A tenant offering 10× the load gets
+//! at most its round-robin share of dispatch slots, so a cold tenant's
+//! tail latency stays within a constant factor of running alone. The
+//! worker then runs the request to completion on its own thread: a
+//! query probes a snapshot, a commit submits to the shard's bounded
+//! queue and waits for its group-commit round.
 //!
 //! Every completed request records its **end-to-end latency**
-//! (admission → completion, on the server's [`Clock`]) into a shared
+//! (admission → completion, on a [`MonotonicClock`]) into a shared
 //! [`LatencyHistogram`]; [`Server::stats`] snapshots the histogram and
 //! the admission counters for reporting.
 
 use std::collections::{HashMap, VecDeque};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::thread::JoinHandle;
 use std::time::Duration;
 
 use xvi_index::{CommitReceipt, IndexError, IndexService, Lookup, Transaction};
@@ -30,7 +35,6 @@ use xvi_obs::{Counter, Obs, Stage, Trace, Unit};
 use xvi_xml::NodeId;
 
 use crate::clock::{Clock, MonotonicClock};
-use crate::executor::Executor;
 use crate::histogram::{HistogramSnapshot, LatencyHistogram};
 
 /// Relative DRR cost of a query (a snapshot probe).
@@ -39,17 +43,21 @@ const QUERY_COST: u64 = 1;
 const COMMIT_COST: u64 = 4;
 
 /// Configuration for a [`Server`].
+///
+/// Each worker serves one request at a time, so the real concurrency
+/// cap is `min(workers, max_in_flight)`.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
-    /// Executor worker threads (clamped to ≥ 1).
+    /// Worker threads the server starts (clamped to ≥ 1).
     pub workers: usize,
-    /// Maximum requests dispatched but not yet completed.
+    /// Maximum requests dispatched but not yet completed (clamped to
+    /// ≥ 1).
     pub max_in_flight: usize,
     /// Per-tenant admission queue capacity; a full queue rejects with
     /// [`ServeError::Overloaded`].
     pub tenant_queue: usize,
     /// DRR quantum: cost units granted to a tenant per scheduling
-    /// round. Queries cost 1, commits 4.
+    /// round (clamped to ≥ 1). Queries cost 1, commits 4.
     pub quantum: u64,
     /// Start with dispatch paused — requests are admitted (or
     /// rejected) but nothing runs until [`Server::resume`]. Lets tests
@@ -218,9 +226,9 @@ struct Job {
 struct TenantQueue {
     jobs: VecDeque<Job>,
     deficit: u64,
-    /// Whether the deficit was already topped up this round — the
-    /// dispatcher re-fronts a mid-round tenant, and a re-front visit
-    /// must not grant a second quantum.
+    /// Whether the deficit was already topped up this round — a pick
+    /// re-fronts a mid-round tenant, and a re-front visit must not
+    /// grant a second quantum.
     topped_up: bool,
 }
 
@@ -228,20 +236,68 @@ struct SchedState {
     tenants: HashMap<String, TenantQueue>,
     /// Tenants with queued work, in round-robin order.
     active: VecDeque<String>,
+    /// Requests dispatched but not yet completed.
+    in_flight: usize,
     paused: bool,
     closed: bool,
 }
 
+impl SchedState {
+    fn queue_depth(&self) -> usize {
+        self.tenants.values().map(|t| t.jobs.len()).sum()
+    }
+
+    /// The DRR pick: the head tenant's deficit grows by one quantum
+    /// per visit and pays for dispatched requests; when it cannot
+    /// cover the next request, the tenant goes to the back of the
+    /// round with its balance kept. A tenant that can still pay is
+    /// re-fronted, so one round spends its whole quantum rather than
+    /// one request per visit. `None` when no tenant has queued work.
+    fn pick(&mut self, quantum: u64) -> Option<Job> {
+        loop {
+            let tenant = self.active.pop_front()?;
+            let q = self.tenants.get_mut(&tenant).expect("active tenant exists");
+            if !q.topped_up {
+                q.deficit += quantum;
+                q.topped_up = true;
+            }
+            let cost = q
+                .jobs
+                .front()
+                .expect("active tenant has work")
+                .request
+                .cost();
+            if q.deficit < cost {
+                // Quantum spent: back of the round, balance carried.
+                q.topped_up = false;
+                self.active.push_back(tenant);
+                continue;
+            }
+            q.deficit -= cost;
+            let job = q.jobs.pop_front().expect("front checked");
+            if q.jobs.is_empty() {
+                // An idle tenant must not bank credit for later bursts.
+                q.deficit = 0;
+                q.topped_up = false;
+            } else {
+                self.active.push_front(tenant);
+            }
+            return Some(job);
+        }
+    }
+}
+
 struct ServerShared {
     service: Arc<IndexService>,
-    clock: Arc<dyn Clock>,
+    clock: MonotonicClock,
     /// The service's observability hub: admission counters and the
     /// latency histogram live in its registry (shared cells — the
     /// handles below), and sampled requests trace through its tracer.
     obs: Arc<Obs>,
     sched: Mutex<SchedState>,
+    /// Signalled when a worker may find something to pick: a request
+    /// was admitted, dispatch resumed, or shutdown began.
     work: Condvar,
-    in_flight: AtomicUsize,
     admitted: Counter,
     rejected: Counter,
     completed: Counter,
@@ -267,35 +323,30 @@ pub struct ServerStats {
     pub latency: HistogramSnapshot,
 }
 
+impl ServerShared {
+    fn sched(&self) -> MutexGuard<'_, SchedState> {
+        self.sched.lock().unwrap_or_else(|e| e.into_inner())
+    }
+}
+
 /// The serving frontend; see the module docs.
 pub struct Server {
     shared: Arc<ServerShared>,
-    executor: Arc<Executor>,
-    dispatcher: Mutex<Option<std::thread::JoinHandle<()>>>,
+    workers: Mutex<Vec<JoinHandle<()>>>,
 }
 
 impl std::fmt::Debug for Server {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Server")
-            .field("in_flight", &self.shared.in_flight.load(Ordering::Relaxed))
+            .field("in_flight", &self.shared.sched().in_flight)
             .finish()
     }
 }
 
 impl Server {
-    /// A server over `service` with the production clock.
+    /// A server over `service`; starts `config.workers` worker
+    /// threads.
     pub fn new(service: Arc<IndexService>, config: ServerConfig) -> Server {
-        Server::with_clock(service, config, Arc::new(MonotonicClock::new()))
-    }
-
-    /// A server over an injected clock (latency measurement and
-    /// backoff sleeps both read it).
-    pub fn with_clock(
-        service: Arc<IndexService>,
-        config: ServerConfig,
-        clock: Arc<dyn Clock>,
-    ) -> Server {
-        let executor = Arc::new(Executor::with_clock(config.workers, Arc::clone(&clock)));
         let obs = Arc::clone(service.obs());
         let shared = Arc::new(ServerShared {
             admitted: obs.registry.counter(
@@ -321,15 +372,15 @@ impl Server {
             ),
             obs,
             service,
-            clock,
+            clock: MonotonicClock::new(),
             sched: Mutex::new(SchedState {
                 tenants: HashMap::new(),
                 active: VecDeque::new(),
+                in_flight: 0,
                 paused: config.start_paused,
                 closed: false,
             }),
             work: Condvar::new(),
-            in_flight: AtomicUsize::new(0),
             completions: AtomicU64::new(0),
             config,
         });
@@ -343,9 +394,9 @@ impl Server {
                 .registry
                 .register_collector(Box::new(move |sink| {
                     let Some(shared) = weak.upgrade() else { return };
-                    let queued: usize = {
-                        let st = shared.sched.lock().unwrap_or_else(|e| e.into_inner());
-                        st.tenants.values().map(|t| t.jobs.len()).sum()
+                    let (queued, in_flight) = {
+                        let st = shared.sched();
+                        (st.queue_depth(), st.in_flight)
                     };
                     sink.gauge(
                         "xvi_serve_queue_depth",
@@ -357,22 +408,22 @@ impl Server {
                         "xvi_serve_in_flight",
                         "Requests dispatched but not yet completed",
                         &[],
-                        shared.in_flight.load(Ordering::Relaxed) as u64,
+                        in_flight as u64,
                     );
                 }));
         }
-        let dispatcher = {
-            let shared = Arc::clone(&shared);
-            let executor = Arc::clone(&executor);
-            std::thread::Builder::new()
-                .name("xvi-serve-dispatch".into())
-                .spawn(move || dispatch_loop(shared, executor))
-                .expect("spawn dispatcher")
-        };
+        let workers = (0..shared.config.workers.max(1))
+            .map(|i| {
+                let shared = Arc::clone(&shared);
+                std::thread::Builder::new()
+                    .name(format!("xvi-serve-{i}"))
+                    .spawn(move || worker_loop(&shared))
+                    .expect("spawn serve worker")
+            })
+            .collect();
         Server {
             shared,
-            executor,
-            dispatcher: Mutex::new(Some(dispatcher)),
+            workers: Mutex::new(workers),
         }
     }
 
@@ -386,7 +437,7 @@ impl Server {
     /// tenant's queue is full, or [`ServeError::Closed`] after
     /// shutdown began.
     pub fn submit(&self, tenant: &str, request: Request) -> Result<ResponseTicket, ServeError> {
-        let mut st = self.shared.sched.lock().unwrap_or_else(|e| e.into_inner());
+        let mut st = self.shared.sched();
         if st.closed {
             return Err(ServeError::Closed);
         }
@@ -429,40 +480,32 @@ impl Server {
         }
         self.shared.admitted.inc();
         drop(st);
-        self.shared.work.notify_all();
+        self.shared.work.notify_one();
         Ok(ResponseTicket { slot })
     }
 
     /// Pauses dispatch: admitted requests queue but do not run.
     pub fn pause(&self) {
-        self.shared
-            .sched
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .paused = true;
+        self.shared.sched().paused = true;
     }
 
     /// Resumes dispatch after [`Server::pause`] (or `start_paused`).
     pub fn resume(&self) {
-        self.shared
-            .sched
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .paused = false;
+        self.shared.sched().paused = false;
         self.shared.work.notify_all();
     }
 
     /// Current metrics.
     pub fn stats(&self) -> ServerStats {
-        let queue_depth = {
-            let st = self.shared.sched.lock().unwrap_or_else(|e| e.into_inner());
-            st.tenants.values().map(|t| t.jobs.len()).sum()
+        let (queue_depth, in_flight) = {
+            let st = self.shared.sched();
+            (st.queue_depth(), st.in_flight)
         };
         ServerStats {
             admitted: self.shared.admitted.get(),
             rejected: self.shared.rejected.get(),
             completed: self.shared.completed.get(),
-            in_flight: self.shared.in_flight.load(Ordering::Relaxed),
+            in_flight,
             queue_depth,
             latency: self.shared.latency.snapshot(),
         }
@@ -472,36 +515,29 @@ impl Server {
     /// must not be paused, or this never returns).
     pub fn drain(&self) {
         loop {
-            let empty = {
-                let st = self.shared.sched.lock().unwrap_or_else(|e| e.into_inner());
-                st.tenants.values().all(|t| t.jobs.is_empty())
-            };
-            if empty && self.shared.in_flight.load(Ordering::SeqCst) == 0 {
-                return;
+            {
+                let st = self.shared.sched();
+                if st.active.is_empty() && st.in_flight == 0 {
+                    return;
+                }
             }
             std::thread::sleep(Duration::from_micros(200));
         }
     }
 
-    /// Stops admission, drains in-flight work, and joins the
-    /// dispatcher and executor.
+    /// Stops admission, lets the workers finish every admitted
+    /// request, and joins them.
     pub fn shutdown(&self) {
         {
-            let mut st = self.shared.sched.lock().unwrap_or_else(|e| e.into_inner());
+            let mut st = self.shared.sched();
             st.closed = true;
             st.paused = false;
         }
         self.shared.work.notify_all();
-        if let Some(h) = self
-            .dispatcher
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .take()
-        {
+        let workers = std::mem::take(&mut *self.workers.lock().unwrap_or_else(|e| e.into_inner()));
+        for h in workers {
             let _ = h.join();
         }
-        self.executor.wait_idle();
-        self.executor.shutdown();
     }
 }
 
@@ -511,127 +547,90 @@ impl Drop for Server {
     }
 }
 
-/// The DRR scheduling loop. Runs on its own thread; spawns dispatched
-/// jobs onto the executor.
-fn dispatch_loop(shared: Arc<ServerShared>, executor: Arc<Executor>) {
+/// One worker: picks requests by DRR under the `sched` lock while
+/// fewer than `max_in_flight` are running, and serves each on this
+/// thread. Exits once the server is closed and every tenant queue is
+/// empty.
+///
+/// Completion needs no wake-up of its own: the finishing worker frees
+/// its in-flight slot and picks again under the same lock, so a
+/// request held back by `max_in_flight` is dispatched by the worker
+/// whose slot it takes.
+fn worker_loop(shared: &ServerShared) {
+    let max_in_flight = shared.config.max_in_flight.max(1);
+    let mut st = shared.sched();
     loop {
-        let job = {
-            let mut st = shared.sched.lock().unwrap_or_else(|e| e.into_inner());
-            loop {
-                let drained = st.active.is_empty();
-                if st.closed && drained {
-                    return;
-                }
-                let can_dispatch = !st.paused
-                    && !drained
-                    && shared.in_flight.load(Ordering::SeqCst) < shared.config.max_in_flight.max(1);
-                if can_dispatch {
-                    break;
-                }
-                let (g, _) = shared
-                    .work
-                    .wait_timeout(st, Duration::from_millis(1))
-                    .unwrap_or_else(|e| e.into_inner());
-                st = g;
-            }
-            // DRR: the head tenant's deficit grows by one quantum per
-            // visit and pays for dispatched requests; when it cannot
-            // cover the next request, the tenant goes to the back of
-            // the round with its balance kept.
-            let tenant = st.active.pop_front().expect("active checked non-empty");
-            let q = st.tenants.get_mut(&tenant).expect("active tenant exists");
-            if !q.topped_up {
-                q.deficit += shared.config.quantum;
-                q.topped_up = true;
-            }
-            let cost = q
-                .jobs
-                .front()
-                .expect("active tenant has work")
-                .request
-                .cost();
-            if q.deficit < cost {
-                // Quantum spent: back of the round, balance carried.
-                q.topped_up = false;
-                st.active.push_back(tenant);
-                continue;
-            }
-            q.deficit -= cost;
-            let job = q.jobs.pop_front().expect("front checked");
-            if q.jobs.is_empty() {
-                // An idle tenant must not bank credit for later bursts.
-                q.deficit = 0;
-                q.topped_up = false;
-            } else {
-                st.active.push_front(tenant);
-            }
-            job
+        if st.closed && st.active.is_empty() {
+            // Workers parked behind `max_in_flight` must see the
+            // drained queues too.
+            shared.work.notify_all();
+            return;
+        }
+        let job = if st.paused || st.in_flight >= max_in_flight {
+            None
+        } else {
+            // A zero quantum would never pay for a request: the pick
+            // would spin under the lock.
+            st.pick(shared.config.quantum.max(1))
         };
-        shared.in_flight.fetch_add(1, Ordering::SeqCst);
-        spawn_job(&shared, &executor, job);
+        let Some(job) = job else {
+            st = shared.work.wait(st).unwrap_or_else(|e| e.into_inner());
+            continue;
+        };
+        st.in_flight += 1;
+        drop(st);
+        serve(shared, job);
+        st = shared.sched();
+        st.in_flight -= 1;
     }
 }
 
-/// A tenant keeps dispatching while its deficit covers the next cost;
-/// `dispatch_loop` re-fronts it so consecutive grabs within one round
-/// stay cheap. (Pushing to the *front* is what makes a round "spend
-/// the whole quantum" rather than one request per visit.)
-fn spawn_job(shared: &Arc<ServerShared>, executor: &Arc<Executor>, job: Job) {
+/// Runs one dispatched request to completion and publishes its result.
+fn serve(shared: &ServerShared, job: Job) {
     let Job {
         request,
         slot,
         trace,
     } = job;
-    let shared = Arc::clone(shared);
-    let exec = Arc::clone(executor);
-    executor.spawn(async move {
-        // The wait between admission and this dispatch is the
-        // admission-control stage of a traced request.
-        let trace = trace.map(|(t, admitted_ns)| {
-            t.record_stage(Stage::AdmissionWait, admitted_ns);
-            t
-        });
-        let result: Result<Response, ServeError> = match request {
-            Request::Query { doc, lookup } => shared
-                .service
-                .query_traced(&doc, &lookup, trace.as_ref())
-                .map(Response::Query)
-                .map_err(ServeError::from),
-            Request::Commit { doc, txn } => {
-                commit_with_backoff(&shared, &exec, &doc, txn, trace.as_ref()).await
-            }
-        };
-        // Completion bookkeeping: latency, sequence number, wake the
-        // waiter, free the in-flight slot, kick the dispatcher.
-        let elapsed = shared.clock.now_ns().saturating_sub(slot.enqueue_ns);
-        shared.latency.record(Duration::from_nanos(elapsed));
-        let seq = shared.completions.fetch_add(1, Ordering::SeqCst) + 1;
-        slot.completion_index.store(seq, Ordering::SeqCst);
-        {
-            let mut guard = slot.result.lock().unwrap_or_else(|e| e.into_inner());
-            *guard = Some(result);
-        }
-        slot.done.notify_all();
-        shared.completed.inc();
-        shared.in_flight.fetch_sub(1, Ordering::SeqCst);
-        shared.work.notify_all();
-        // The serve layer started the trace at admission, so it ends
-        // it here — total = the same admission→completion span the
-        // latency histogram records.
-        if let Some(t) = trace {
-            shared.obs.tracer.finish(t);
-        }
+    // The wait between admission and this dispatch is the
+    // admission-control stage of a traced request.
+    let trace = trace.map(|(t, admitted_ns)| {
+        t.record_stage(Stage::AdmissionWait, admitted_ns);
+        t
     });
+    let result: Result<Response, ServeError> = match request {
+        Request::Query { doc, lookup } => shared
+            .service
+            .query_traced(&doc, &lookup, trace.as_ref())
+            .map(Response::Query)
+            .map_err(ServeError::from),
+        Request::Commit { doc, txn } => commit_with_backoff(shared, &doc, txn, trace.as_ref()),
+    };
+    // Completion bookkeeping: latency, sequence number, wake the
+    // waiter.
+    let elapsed = shared.clock.now_ns().saturating_sub(slot.enqueue_ns);
+    shared.latency.record(Duration::from_nanos(elapsed));
+    let seq = shared.completions.fetch_add(1, Ordering::SeqCst) + 1;
+    slot.completion_index.store(seq, Ordering::SeqCst);
+    *slot.result.lock().unwrap_or_else(|e| e.into_inner()) = Some(result);
+    slot.done.notify_all();
+    shared.completed.inc();
+    // The serve layer started the trace at admission, so it ends it
+    // here — total = the same admission→completion span the latency
+    // histogram records.
+    if let Some(t) = trace {
+        shared.obs.tracer.finish(t);
+    }
 }
 
 /// Submits a commit through the bounded [`IndexService::try_submit`]
-/// path, sleeping out each `retry_after` hint on shard overload. After
-/// `commit_retries` rejections the overload is propagated to the
-/// client — admission control composes: the shard's bound backstops
-/// the tenant queue's bound.
-async fn commit_with_backoff(
-    shared: &Arc<ServerShared>,
-    exec: &Arc<Executor>,
+/// path and waits for its group-commit round, sleeping out each
+/// `retry_after` hint on shard overload. After `commit_retries`
+/// rejections the overload is propagated to the client — admission
+/// control composes: the shard's bound backstops the tenant queue's
+/// bound.
+fn commit_with_backoff(
+    shared: &ServerShared,
     doc: &str,
     txn: Transaction,
     trace: Option<&Trace>,
@@ -643,15 +642,12 @@ async fn commit_with_backoff(
         // trace (an Arc handle) rides into the pipeline, where the
         // group leader attributes queue-wait/WAL/fsync/publish stages
         // to it; this layer still owns and finishes it.
-        match shared
-            .service
-            .try_submit_traced(doc, txn.clone(), trace.cloned())
-        {
-            Ok(ticket) => return Ok(Response::Commit(ticket.await?)),
+        match shared.service.try_submit(doc, txn.clone(), trace.cloned()) {
+            Ok(ticket) => return Ok(Response::Commit(ticket.wait()?)),
             Err(IndexError::Overloaded { retry_after, .. }) => {
                 last_retry_after = retry_after;
                 if attempt < shared.config.commit_retries {
-                    exec.sleep(retry_after).await;
+                    std::thread::sleep(retry_after);
                 }
             }
             Err(other) => return Err(ServeError::Index(other)),
@@ -660,4 +656,95 @@ async fn commit_with_backoff(
     Err(ServeError::Overloaded {
         retry_after: last_retry_after,
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use xvi_index::ServiceConfig;
+    use xvi_xml::Document;
+
+    /// A zero quantum still serves: every round grants at least one
+    /// cost unit.
+    #[test]
+    fn zero_quantum_still_dispatches() {
+        let service = Arc::new(IndexService::new(ServiceConfig::with_shards(1)));
+        service.insert_document("a", Document::parse("<r><v>42</v></r>").unwrap());
+        let server = Server::new(
+            service,
+            ServerConfig {
+                quantum: 0,
+                ..ServerConfig::default()
+            },
+        );
+        let query = Request::Query {
+            doc: "a".into(),
+            lookup: Lookup::equi("42"),
+        };
+        let Ok(Response::Query(hits)) = server.submit("t", query).unwrap().wait() else {
+            panic!("a zero-quantum server must still serve");
+        };
+        assert!(!hits.is_empty());
+        server.shutdown();
+    }
+
+    /// A commit whose shard stays full through every retry fails with
+    /// a typed overload, lands nothing, and leaves its worker free to
+    /// serve the next request.
+    #[test]
+    fn commit_out_of_retries_fails_cleanly() {
+        let service = Arc::new(IndexService::new(
+            ServiceConfig::with_shards(1).with_max_queue(1),
+        ));
+        service.insert_document(
+            "a",
+            Document::parse("<r><name>Arthur</name><age>42</age></r>").unwrap(),
+        );
+        let node = service
+            .read("a", |d, _| {
+                d.descendants(d.document_node())
+                    .find(|&n| d.kind(n).has_direct_value())
+                    .unwrap()
+            })
+            .unwrap();
+        let txn = |v: &str| {
+            let mut txn = service.begin();
+            txn.set_value(node, v);
+            txn
+        };
+        // Nothing waits this ticket, so nothing drains the one slot
+        // of the shard's queue until the end of the test.
+        let held = service.submit("a", txn("held"));
+        let server = Server::new(
+            Arc::clone(&service),
+            ServerConfig {
+                commit_retries: 2,
+                ..ServerConfig::default()
+            },
+        );
+
+        let commit = Request::Commit {
+            doc: "a".into(),
+            txn: txn("served"),
+        };
+        let served = server.submit("t", commit).unwrap().wait();
+        assert!(
+            matches!(served, Err(ServeError::Overloaded { .. })),
+            "expected Overloaded, got {served:?}"
+        );
+        assert_eq!(service.commit_count(), 0);
+
+        let query = Request::Query {
+            doc: "a".into(),
+            lookup: Lookup::equi("42"),
+        };
+        let Ok(Response::Query(hits)) = server.submit("t", query).unwrap().wait() else {
+            panic!("the query after the failed commit must complete");
+        };
+        assert!(!hits.is_empty());
+        server.shutdown();
+
+        assert_eq!(held.wait().unwrap().applied, 1);
+        assert_eq!(service.commit_count(), 1);
+    }
 }

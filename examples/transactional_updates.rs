@@ -2,7 +2,8 @@
 //! touching (or locking) any ancestor; commits repair ancestors from
 //! the latest committed state. Because the combination function `C`
 //! is associative and updates commute, concurrent commits converge to
-//! the same index no matter the order.
+//! the same index no matter the order. One document on a one-shard
+//! [`IndexService`] is the single-document case.
 //!
 //! ```sh
 //! cargo run --example transactional_updates
@@ -11,7 +12,6 @@
 use std::sync::Arc;
 
 use xvi::datagen::Dataset;
-use xvi::index::TransactionalStore;
 use xvi::prelude::*;
 use xvi::xml::NodeKind;
 
@@ -29,7 +29,8 @@ fn main() {
         .collect();
     println!("updating {} <age> values from 8 threads…", targets.len());
 
-    let store = Arc::new(TransactionalStore::new(doc, IndexConfig::default()));
+    let store = Arc::new(IndexService::new(ServiceConfig::with_shards(1)));
+    store.insert_document("auction", doc);
 
     let handles: Vec<_> = (0..8u64)
         .map(|thread| {
@@ -45,7 +46,7 @@ fn main() {
                     }
                     let mut txn = store.begin();
                     txn.set_value(node, format!("{}", 20 + (i % 60)));
-                    store.commit(txn).expect("value node");
+                    store.commit("auction", txn).expect("value node");
                 }
             })
         })
@@ -57,13 +58,15 @@ fn main() {
     println!("{} transactions committed", store.commit_count());
 
     // The store must be byte-identical to a from-scratch rebuild.
-    store.read(|doc, idx| {
-        idx.verify_against(doc)
-            .expect("commutative commits converge");
-        let adults = idx.query(doc, &Lookup::range_f64(20.0..=79.0)).unwrap();
-        println!(
-            "ages now in [20, 79]: {} nodes — index verified ✓",
-            adults.len()
-        );
-    });
+    store
+        .read("auction", |doc, idx| {
+            idx.verify_against(doc)
+                .expect("commutative commits converge");
+            let adults = idx.query(doc, &Lookup::range_f64(20.0..=79.0)).unwrap();
+            println!(
+                "ages now in [20, 79]: {} nodes — index verified ✓",
+                adults.len()
+            );
+        })
+        .expect("the document is registered");
 }

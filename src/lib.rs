@@ -24,9 +24,9 @@
 //!   commutative transaction layer (§5.1) and a mini-XPath evaluator.
 //! * [`datagen`] — XMark-shaped and "real-life-alike" document
 //!   generators plus update workloads used by the experiment harness.
-//! * [`serve`] — the serving frontend: a hand-rolled async executor
-//!   driving `CommitTicket` futures, bounded admission queues with
-//!   typed overload rejection, deficit-round-robin tenant fairness,
+//! * [`serve`] — the serving frontend: plain worker threads that pick
+//!   requests by deficit-round-robin tenant fairness and wait commits
+//!   out, bounded admission queues with typed overload rejection,
 //!   log-bucketed latency percentiles and config-driven streaming
 //!   CSV/JSON/JSONL exports.
 //!
@@ -66,7 +66,7 @@ pub mod prelude {
     pub use xvi_index::{
         Bounds, CardinalityEstimate, CommitReceipt, CommitTicket, DocSnapshot, Durability,
         IndexConfig, IndexManager, IndexService, Lookup, Plan, PlannerConfig, QueryEngine,
-        ServiceConfig, ServiceSnapshot, TransactionalStore,
+        ServiceConfig, ServiceSnapshot,
     };
     pub use xvi_obs::{Obs, Stage, Trace};
     pub use xvi_serve::{

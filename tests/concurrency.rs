@@ -283,37 +283,38 @@ fn single_thread_pipelined_tickets_match_serial_replay() {
         .unwrap();
 }
 
-/// The same race driven through the single-document facade: the
-/// `TransactionalStore` must expose identical semantics since it is a
-/// thin wrapper over the service.
+/// The same race as blocking `commit` calls on a one-shard service
+/// holding the one document: every writer contends for the same
+/// group-commit leader, and the result must still be a consistent
+/// index with every transaction counted.
 #[test]
-fn transactional_store_facade_stays_consistent_under_races() {
+fn blocking_commits_on_one_shard_stay_consistent_under_races() {
     let doc = base_doc();
     let txns = transactions(&doc);
-    let store = Arc::new(xvi::index::TransactionalStore::new(
-        doc,
-        IndexConfig::default(),
-    ));
+    let service = Arc::new(IndexService::new(ServiceConfig::with_shards(1)));
+    service.insert_document("doc", doc);
     let start = Arc::new(Barrier::new(txns.len()));
     let handles: Vec<_> = txns
         .iter()
         .cloned()
         .map(|batch| {
-            let store = Arc::clone(&store);
+            let service = Arc::clone(&service);
             let start = Arc::clone(&start);
             std::thread::spawn(move || {
-                let mut t = store.begin();
+                let mut t = service.begin();
                 for (node, value) in batch {
                     t.set_value(node, value);
                 }
                 start.wait();
-                store.commit(t).unwrap();
+                service.commit("doc", t).unwrap();
             })
         })
         .collect();
     for h in handles {
         h.join().unwrap();
     }
-    assert_eq!(store.commit_count(), txns.len() as u64);
-    store.read(|doc, idx| idx.verify_against(doc).unwrap());
+    assert_eq!(service.commit_count(), txns.len() as u64);
+    service
+        .read("doc", |doc, idx| idx.verify_against(doc).unwrap())
+        .unwrap();
 }
