@@ -1,5 +1,5 @@
 //! The paper's evaluation (§6) as callable functions: Table 1 and
-//! Figs 9–11, plus the branch-cache `lookup` sweep.
+//! Figs 9–11.
 //!
 //! Each `run_*` takes its scale explicitly so the smoke test
 //! (`tests/bench_smoke.rs` at the workspace root) can drive the exact
@@ -15,7 +15,7 @@ use xvi_hash::collisions::CollisionHistogram;
 use xvi_index::{IndexConfig, IndexManager};
 use xvi_xml::{Document, NodeKind};
 
-use crate::{load, mb, ms, pct, time, time_mean, time_min_pair, Table};
+use crate::{load, mb, ms, pct, time, time_mean, Table};
 
 /// Table 1: statistics about the data sets.
 ///
@@ -278,226 +278,5 @@ pub fn run_fig11(permille: u32) {
          large/URL-heavy ones; the Wiki tail (k up to 9) comes from URLs whose\n\
          distinguishing characters repeat every 27 positions, cancelling out in\n\
          the circular XOR."
-    );
-}
-
-/// Tree keys per scale permille in the lookup experiment: the default
-/// `XVI_SCALE=1000` probes a million-key tree.
-const LOOKUP_KEYS_PER_PERMILLE: usize = 1_000;
-/// Entries returned by each short-range probe.
-const LOOKUP_RANGE_LEN: u64 = 16;
-/// Skew of the zipf probe stream: document popularity for the
-/// burst-per-query model of [`zipf_probes`]. 2.0 models the
-/// workload's steady state between popularity shifts, where a couple
-/// of trending documents absorb almost all queries: at a million-key
-/// scale ~83% of query bursts land in the four hottest posting
-/// blocks.
-///
-/// [`zipf_probes`]: xvi_datagen::probes::zipf_probes
-const LOOKUP_ZIPF_THETA: f64 = 2.0;
-
-/// Descent fast paths: point and short-range probe latency over
-/// uniform / sorted / zipf key streams, branch-cached descents
-/// ([`get`]/[`range`]) vs. the cold root-walk baseline
-/// ([`get_cold`]/[`range_cold`]).
-///
-/// Warm and cold answers are asserted identical on a prefix of every
-/// stream before anything is timed (the `cache_props` suite covers
-/// arbitrary mutation histories). Warm and cold reps are interleaved
-/// and the reported speedup is the *median* of the per-rep ratios
-/// (see [`time_min_pair`]); the ns columns are per-side minima.
-/// Besides the printed table the run writes machine-readable results
-/// to `BENCH_lookup.json` in the working directory, so CI accumulates
-/// a perf trajectory for future PRs to compare against.
-///
-/// [`time_min_pair`]: crate::time_min_pair
-///
-/// Expected shape: sorted and zipf streams resolve almost every probe
-/// at or near the cached leaf (≥ 2× over the cold walk at
-/// `XVI_SCALE=1000`); uniform probes mostly miss, and the top-down
-/// fence verification keeps that miss overhead within ~10% of the
-/// cold walk.
-///
-/// [`get`]: xvi_btree::BPlusTree::get
-/// [`range`]: xvi_btree::BPlusTree::range
-/// [`get_cold`]: xvi_btree::BPlusTree::get_cold
-/// [`range_cold`]: xvi_btree::BPlusTree::range_cold
-pub fn run_lookup(permille: u32, reps: usize) {
-    use xvi_btree::BPlusTree;
-    use xvi_datagen::probes::{sorted_probes, uniform_probes, zipf_probes};
-
-    let n = (permille as usize).max(1) * LOOKUP_KEYS_PER_PERMILLE;
-    let point_ops = (n * 2).clamp(4_000, 400_000);
-    let range_ops = point_ops / 4;
-    println!(
-        "Lookup — ns/probe, branch-cached descent vs. cold root walk \
-         (scale {permille}‰: {n} keys, {point_ops} point / {range_ops} range \
-         probes per stream, {reps} reps)\n"
-    );
-
-    // Values are a cheap permutation of the key so the timed loops
-    // fold real data.
-    let tree: BPlusTree<u64, u64> =
-        BPlusTree::from_sorted_iter((0..n as u64).map(|k| (k, k.wrapping_mul(0x9E37_79B9))));
-
-    let streams: [(&str, Vec<usize>); 3] = [
-        ("uniform", uniform_probes(n, point_ops, 0xA11CE)),
-        ("sorted", sorted_probes(n, point_ops, 0xB0B)),
-        ("zipf", zipf_probes(n, point_ops, LOOKUP_ZIPF_THETA, 0xCAFE)),
-    ];
-
-    let table = Table::new(&[
-        ("Stream", 8),
-        ("op", 6),
-        ("warm ns", 9),
-        ("cold ns", 9),
-        ("speedup", 8),
-        ("hit %", 7),
-    ]);
-
-    let mut json_rows: Vec<String> = Vec::new();
-    for (name, probes) in &streams {
-        // Differential pass, untimed: the cached path must return
-        // byte-identical answers to the cold walk.
-        for &k in probes.iter().take(4_000) {
-            let k = k as u64;
-            assert_eq!(
-                tree.get(&k),
-                tree.get_cold(&k),
-                "{name}: warm/cold point answers diverge at key {k}"
-            );
-        }
-        for &k in probes.iter().take(1_000) {
-            let k = k as u64;
-            let warm: Vec<(u64, u64)> = tree
-                .range(k..k + LOOKUP_RANGE_LEN)
-                .map(|(a, b)| (*a, *b))
-                .collect();
-            let cold: Vec<(u64, u64)> = tree
-                .range_cold(k..k + LOOKUP_RANGE_LEN)
-                .map(|(a, b)| (*a, *b))
-                .collect();
-            assert_eq!(
-                warm, cold,
-                "{name}: warm/cold range answers diverge at key {k}"
-            );
-        }
-
-        // Untimed warm-up over the full stream so the timed warm and
-        // cold loops start from the same CPU-cache state (the first
-        // timed loop would otherwise pay every compulsory miss for
-        // the tree pages and donate the warmed cache to the second).
-        let mut acc = 0u64;
-        for &k in probes {
-            acc = acc.wrapping_add(*tree.get_cold(&(k as u64)).expect("key present"));
-        }
-        std::hint::black_box(acc);
-
-        // Point probes, warm and cold interleaved per rep (see
-        // [`time_min_pair`]) so cache/TLB drift across the run hits
-        // both sides equally. `XVI_LOOKUP_AB=1` turns the warm side
-        // into a second cold walk — an A/A run whose ratios should sit
-        // at ~1.0; use it to validate the harness on new hardware
-        // before trusting any A/B number it prints.
-        let ab = std::env::var_os("XVI_LOOKUP_AB").is_some();
-        let before = tree.descent_cache_counters();
-        let (warm, cold, speedup) = time_min_pair(
-            reps,
-            |_| {
-                let mut acc = 0u64;
-                for &k in probes {
-                    acc = acc.wrapping_add(if ab {
-                        *tree.get_cold(&(k as u64)).expect("key present")
-                    } else {
-                        *tree.get(&(k as u64)).expect("key present")
-                    });
-                }
-                std::hint::black_box(acc);
-            },
-            |_| {
-                let mut acc = 0u64;
-                for &k in probes {
-                    acc = acc.wrapping_add(*tree.get_cold(&(k as u64)).expect("key present"));
-                }
-                std::hint::black_box(acc);
-            },
-        );
-        let after = tree.descent_cache_counters();
-        let (hits, partials, misses) = (after.0 - before.0, after.1 - before.1, after.2 - before.2);
-        let total = (hits + partials + misses).max(1);
-        let hit_pct = 100.0 * (hits + partials) as f64 / total as f64;
-        if std::env::var_os("XVI_LOOKUP_DEBUG").is_some() {
-            eprintln!("  [{name}] hits={hits} partials={partials} misses={misses}");
-        }
-        let warm_ns = warm.as_secs_f64() * 1e9 / point_ops as f64;
-        let cold_ns = cold.as_secs_f64() * 1e9 / point_ops as f64;
-        table.row(&[
-            name.to_string(),
-            "point".into(),
-            format!("{warm_ns:.1}"),
-            format!("{cold_ns:.1}"),
-            format!("{speedup:.2}x"),
-            format!("{hit_pct:.1}"),
-        ]);
-        json_rows.push(format!(
-            "{{\"stream\":\"{name}\",\"op\":\"point\",\"warm_ns\":{warm_ns:.2},\
-             \"cold_ns\":{cold_ns:.2},\"speedup\":{speedup:.3},\"hit_pct\":{hit_pct:.2}}}"
-        ));
-
-        // Short-range probes over a prefix of the same stream, again
-        // interleaved.
-        let rprobes = &probes[..range_ops];
-        let (warm, cold, speedup) = time_min_pair(
-            reps,
-            |_| {
-                let mut acc = 0u64;
-                for &k in rprobes {
-                    let k = k as u64;
-                    for (_, v) in tree.range(k..k + LOOKUP_RANGE_LEN) {
-                        acc = acc.wrapping_add(*v);
-                    }
-                }
-                std::hint::black_box(acc);
-            },
-            |_| {
-                let mut acc = 0u64;
-                for &k in rprobes {
-                    let k = k as u64;
-                    for (_, v) in tree.range_cold(k..k + LOOKUP_RANGE_LEN) {
-                        acc = acc.wrapping_add(*v);
-                    }
-                }
-                std::hint::black_box(acc);
-            },
-        );
-        let warm_ns = warm.as_secs_f64() * 1e9 / range_ops as f64;
-        let cold_ns = cold.as_secs_f64() * 1e9 / range_ops as f64;
-        table.row(&[
-            name.to_string(),
-            "range".into(),
-            format!("{warm_ns:.1}"),
-            format!("{cold_ns:.1}"),
-            format!("{speedup:.2}x"),
-            "-".into(),
-        ]);
-        json_rows.push(format!(
-            "{{\"stream\":\"{name}\",\"op\":\"range\",\"warm_ns\":{warm_ns:.2},\
-             \"cold_ns\":{cold_ns:.2},\"speedup\":{speedup:.3}}}"
-        ));
-    }
-
-    let json = format!(
-        "{{\"mode\":\"lookup\",\"scale_permille\":{permille},\"keys\":{n},\
-         \"point_probes\":{point_ops},\"range_probes\":{range_ops},\"reps\":{reps},\
-         \"results\":[{}]}}\n",
-        json_rows.join(",")
-    );
-    std::fs::write("BENCH_lookup.json", &json).expect("write BENCH_lookup.json");
-
-    println!(
-        "\nWrote BENCH_lookup.json. Targets at XVI_SCALE=1000: sorted and zipf\n\
-         point probes >= 2x over the cold walk (descents resolve at or near the\n\
-         cached leaf), uniform no worse than 0.9x (the top-down fence check\n\
-         bounds the miss overhead to one hot node probe)."
     );
 }

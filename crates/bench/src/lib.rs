@@ -8,7 +8,6 @@
 //! | `fig9`   | index creation time & storage overhead | `… --bin fig9` |
 //! | `fig10`  | update time vs. number of updated nodes | `… --bin fig10` |
 //! | `fig11`  | hash stability (collision distribution) | `… --bin fig11` |
-//! | `lookup` | branch-cached vs. cold descents (writes `BENCH_lookup.json`) | `… --bin lookup` |
 //!
 //! Document sizes default to ≈ 1/16 of the paper's (laptop scale); set
 //! `XVI_SCALE` (permille of that default, e.g. `XVI_SCALE=100` for a
@@ -72,41 +71,6 @@ pub fn time_mean(reps: usize, mut f: impl FnMut(usize)) -> Duration {
         total += start.elapsed();
     }
     total / reps as u32
-}
-
-/// Timing for an A/B comparison, with the two sides interleaved
-/// (`a`, `b`, `a`, `b`, …) rather than run back to back. Caches,
-/// TLBs, and frequency state keep drifting across a long measurement;
-/// running all of `a` before all of `b` folds that drift into the
-/// comparison (an A/A test on this harness showed a 2× bias from
-/// ordering alone). Interleaving gives both sides the same
-/// environment in every rep; returns `(best_a, best_b, ratio)` where
-/// the durations are per-side minima and `ratio` is the *median* of
-/// the per-rep `b/a` ratios — the minima are the closest observations
-/// to each side's true cost, while the median ratio is robust to the
-/// heavy-tailed interference bursts a shared machine injects into
-/// individual reps.
-pub fn time_min_pair(
-    reps: usize,
-    mut a: impl FnMut(usize),
-    mut b: impl FnMut(usize),
-) -> (Duration, Duration, f64) {
-    let mut best_a = Duration::MAX;
-    let mut best_b = Duration::MAX;
-    let mut ratios = Vec::with_capacity(reps);
-    for i in 0..reps {
-        let start = Instant::now();
-        a(i);
-        let ta = start.elapsed();
-        best_a = best_a.min(ta);
-        let start = Instant::now();
-        b(i);
-        let tb = start.elapsed();
-        best_b = best_b.min(tb);
-        ratios.push(tb.as_secs_f64() / ta.as_secs_f64().max(f64::MIN_POSITIVE));
-    }
-    ratios.sort_by(|x, y| x.total_cmp(y));
-    (best_a, best_b, ratios[ratios.len() / 2])
 }
 
 /// Fixed-width table printer for the experiment binaries.

@@ -2,8 +2,8 @@
 
 use std::ops::{Bound, RangeBounds};
 
-use crate::cache::hinted_partition_point;
 use crate::node::{Node, NIL};
+use crate::search::hinted_partition_point;
 use crate::tree::BPlusTree;
 
 /// Iterator over the entries of a [`BPlusTree`] whose keys fall within
@@ -21,19 +21,10 @@ pub struct Range<'a, K, V> {
 
 impl<'a, K: Ord + Clone, V: Clone> Range<'a, K, V> {
     pub(crate) fn new<R: RangeBounds<K>>(tree: &'a BPlusTree<K, V>, bounds: R) -> Self {
-        Self::with_mode(tree, bounds, false)
-    }
-
-    /// Cold-positioned variant backing [`BPlusTree::range_cold`].
-    pub(crate) fn new_cold<R: RangeBounds<K>>(tree: &'a BPlusTree<K, V>, bounds: R) -> Self {
-        Self::with_mode(tree, bounds, true)
-    }
-
-    fn with_mode<R: RangeBounds<K>>(tree: &'a BPlusTree<K, V>, bounds: R, cold: bool) -> Self {
         let (leaf, idx) = match bounds.start_bound() {
             Bound::Unbounded => (tree.first_leaf, 0),
-            Bound::Included(s) => tree.position_at_or_after(s, false, cold),
-            Bound::Excluded(s) => tree.position_at_or_after(s, true, cold),
+            Bound::Included(s) => tree.position_at_or_after(s, false),
+            Bound::Excluded(s) => tree.position_at_or_after(s, true),
         };
         Range {
             tree,
@@ -89,24 +80,14 @@ impl<K: Ord + Clone, V: Clone> BPlusTree<K, V> {
     /// Finds the position of the first entry `>= key` (or `> key` when
     /// `exclusive`), as a `(leaf, index)` pair; the index may be one
     /// past the end of the leaf, which the iterator normalises.
-    pub(crate) fn position_at_or_after(
-        &self,
-        key: &K,
-        exclusive: bool,
-        cold: bool,
-    ) -> (u32, usize) {
-        let leaf = if cold {
-            self.find_leaf_cold(key)
-        } else {
-            self.find_leaf(key)
-        };
+    pub(crate) fn position_at_or_after(&self, key: &K, exclusive: bool) -> (u32, usize) {
+        let leaf = self.find_leaf(key);
         match self.node(leaf) {
             Node::Leaf { keys, .. } => {
-                let idx = match (cold, exclusive) {
-                    (true, true) => keys.partition_point(|k| k <= key),
-                    (true, false) => keys.partition_point(|k| k < key),
-                    (false, true) => hinted_partition_point(keys, |k| k <= key),
-                    (false, false) => hinted_partition_point(keys, |k| k < key),
+                let idx = if exclusive {
+                    hinted_partition_point(keys, |k| k <= key)
+                } else {
+                    hinted_partition_point(keys, |k| k < key)
                 };
                 (leaf, idx)
             }

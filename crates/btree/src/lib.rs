@@ -31,10 +31,10 @@
 #![warn(missing_docs)]
 
 mod bulk;
-mod cache;
 mod iter;
 mod node;
 mod page;
+mod search;
 mod summary;
 mod tree;
 

@@ -40,17 +40,6 @@ impl<K> Summary<K> {
     pub fn is_empty(&self) -> bool {
         self.count == 0
     }
-
-    /// The smallest key covered, if any — the lower fence the branch
-    /// cache verifies a cached interior node against.
-    pub fn min_key(&self) -> Option<&K> {
-        self.keys.as_ref().map(|(lo, _)| lo)
-    }
-
-    /// The largest key covered, if any — the upper fence.
-    pub fn max_key(&self) -> Option<&K> {
-        self.keys.as_ref().map(|(_, hi)| hi)
-    }
 }
 
 impl<K: Ord + Clone> Summary<K> {

@@ -4,10 +4,10 @@
 
 use std::ops::{Bound, RangeBounds};
 
-use crate::cache::{hinted_partition_point, hinted_search, BranchCache, InlinePath, ProbeGate};
 use crate::iter::Range;
 use crate::node::{Node, NIL};
 use crate::page::{ColVec, PagedVec};
+use crate::search::hinted_partition_point;
 use crate::summary::Summary;
 
 /// Default maximum number of keys per node.
@@ -28,6 +28,9 @@ pub const DEFAULT_ORDER: usize = 32;
 /// paths touch. [`TreeStats::shared_pages`] exposes how much of the
 /// arena is currently shared with other clones.
 ///
+/// Every probe is one root-to-leaf descent; inside each interior node
+/// the route is a hinted partition point (see `search.rs`).
+///
 /// ```
 /// use xvi_btree::BPlusTree;
 /// let mut t = BPlusTree::new();
@@ -38,7 +41,7 @@ pub const DEFAULT_ORDER: usize = 32;
 /// let in_range: Vec<u32> = t.range(10..13).map(|(k, _)| *k).collect();
 /// assert_eq!(in_range, vec![10, 11, 12]);
 /// ```
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct BPlusTree<K, V> {
     pub(crate) nodes: PagedVec<Node<K, V>>,
     pub(crate) root: u32,
@@ -47,31 +50,6 @@ pub struct BPlusTree<K, V> {
     /// Maximum number of keys a node may hold.
     order: usize,
     free: Vec<u32>,
-    /// Structural version stamp: bumped by every mutation that can
-    /// change node contents, shapes, or arena ids. The branch cache is
-    /// keyed on it — a path recorded under an older epoch is ignored.
-    epoch: u64,
-    /// Memory of the previous descent (see [`crate::cache`]).
-    cache: BranchCache,
-}
-
-impl<K: Clone, V: Clone> Clone for BPlusTree<K, V> {
-    /// O(pages) reference-count bumps — no node is copied. The clone
-    /// starts with an **empty** branch cache and zeroed hit/miss
-    /// counters: cached paths name arena slots of a specific tree
-    /// instance, and each instance warms its own.
-    fn clone(&self) -> Self {
-        BPlusTree {
-            nodes: self.nodes.clone(),
-            root: self.root,
-            first_leaf: self.first_leaf,
-            len: self.len,
-            order: self.order,
-            free: self.free.clone(),
-            epoch: self.epoch,
-            cache: BranchCache::new(),
-        }
-    }
 }
 
 /// Structural statistics, used for the paper's storage accounting
@@ -100,11 +78,12 @@ pub struct TreeStats {
     /// mutation lineage (inherited by clones): the difference across a
     /// clone-then-mutate publish cycle is the pages that cycle copied.
     pub pages_detached: u64,
-    /// Descents resolved at the branch-cached leaf itself.
+    /// Always 0: the tree keeps no descent cache. Kept only because
+    /// the `perfbench` package reads it.
     pub cache_hits: u64,
-    /// Descents resolved from a cached ancestor below the root.
+    /// Always 0, like [`TreeStats::cache_hits`].
     pub cache_partial_hits: u64,
-    /// Descents that fell back to a full root walk.
+    /// Always 0, like [`TreeStats::cache_hits`].
     pub cache_misses: u64,
 }
 
@@ -140,16 +119,7 @@ impl<K: Ord + Clone, V: Clone> BPlusTree<K, V> {
             len: 0,
             order,
             free: Vec::new(),
-            epoch: 0,
-            cache: BranchCache::new(),
         }
-    }
-
-    /// Marks every cached descent path stale. Called (exactly once) by
-    /// every mutating entry point that can change node contents,
-    /// shapes, or arena ids.
-    fn bump_epoch(&mut self) {
-        self.epoch = self.epoch.wrapping_add(1);
     }
 
     /// Number of entries stored.
@@ -193,7 +163,6 @@ impl<K: Ord + Clone, V: Clone> BPlusTree<K, V> {
     /// Bulk-loader helper: installs a freshly built root and entry
     /// count, discarding the placeholder empty leaf when unused.
     pub(crate) fn replace_root(&mut self, root: u32, len: usize) {
-        self.bump_epoch();
         let placeholder = self.root;
         self.root = root;
         self.len = len;
@@ -236,147 +205,8 @@ impl<K: Ord + Clone, V: Clone> BPlusTree<K, V> {
         hinted_partition_point(keys, |sep| sep <= key)
     }
 
-    /// Whether the key interval covered by a node's *contents* contains
-    /// `key` — the branch-cache fence check. For a leaf this is its
-    /// first/last key; for an interior node, the min of its first and
-    /// the max of its last stored child summary. Sound without looking
-    /// at ancestors: separator routing partitions the key space into
-    /// disjoint per-subtree intervals and a subtree's `[min, max]` lies
-    /// inside its own, so any live node whose fence covers `key` is on
-    /// the cold descent path for `key`.
-    fn node_covers(node: &Node<K, V>, key: &K) -> bool {
-        match node {
-            Node::Leaf { keys, .. } => match (keys.first(), keys.last()) {
-                (Some(min), Some(max)) => min <= key && key <= max,
-                _ => false,
-            },
-            Node::Internal { summaries, .. } => {
-                match (
-                    summaries.first().and_then(|s| s.min_key()),
-                    summaries.last().and_then(|s| s.max_key()),
-                ) {
-                    (Some(min), Some(max)) => min <= key && key <= max,
-                    _ => false,
-                }
-            }
-            Node::Free => false,
-        }
-    }
-
-    /// Routes from `start` down to the leaf for `key`, pushing every
-    /// node *below* `start` onto `walk`.
-    fn descend_from(&self, start: u32, key: &K, walk: &mut InlinePath) -> u32 {
-        let mut id = start;
-        loop {
-            match self.node(id) {
-                Node::Internal { keys, children, .. } => {
-                    id = children[Self::route(keys, key)];
-                    walk.push(id);
-                }
-                Node::Leaf { .. } => return id,
-                Node::Free => unreachable!("descended into a freed node"),
-            }
-        }
-    }
-
-    /// Descends to the leaf that would contain `key`, reusing the
-    /// previous descent's path where its fences still cover `key`.
-    ///
-    /// Every cached slot is verified against live node content
-    /// (`node_covers`) before being trusted, so a stale or torn slot
-    /// costs a fallback, never a wrong leaf. The probe ladder matches
-    /// the cost profile of the streams this serves:
-    ///
-    /// 1. the **primary leaf** (recency) — the previous descent ended
-    ///    there one probe ago, so the node is still in CPU cache; on
-    ///    sorted and zipf streams it usually still covers, collapsing
-    ///    the whole descent to one fence check plus the in-leaf search;
-    /// 2. the **protected pair** (frequency) — up to two leaves that
-    ///    earned a primary hit before being displaced; protected hits
-    ///    move nothing, so scattered churn through the primary slot
-    ///    cannot evict a proven-hot leaf, and *two* slots hold both
-    ///    shards of a bimodal hot set at once;
-    /// 3. the **primary leaf's parent** — catches the one-leaf-over
-    ///    probes of sequential sweeps and near-misses around a hot
-    ///    leaf with a single-level re-descent.
-    ///
-    /// Anything else is a full root walk. Deeper ancestors are *not*
-    /// probed: verifying an interior fence costs about as much as one
-    /// cold routing step, so climbing further pays the cold walk's
-    /// price on top of the checks — the four-rung ladder bounds the
-    /// total-miss overhead to four hot fence checks. On streams with
-    /// no locality even those are wasted (the cached nodes go cold),
-    /// so a confidence bypass ([`BranchCache::probe_gate`]) disables
-    /// the ladder after a run of misses and re-arms it on any hit.
+    /// Descends from the root to the leaf that would contain `key`.
     pub(crate) fn find_leaf(&self, key: &K) -> u32 {
-        let gate = self.cache.probe_gate();
-        if let Some((leaf, parent)) = match gate {
-            ProbeGate::Skip => None,
-            _ => self.cache.probe_top(self.epoch),
-        } {
-            if let Some(node) = self.nodes.get(leaf as usize) {
-                if matches!(node, Node::Leaf { .. }) && Self::node_covers(node, key) {
-                    self.cache.count_hit();
-                    return leaf;
-                }
-            }
-            if gate == ProbeGate::Full {
-                // Protected pair: leaves that proved hot before being
-                // displaced from the primary slot. Hits here move
-                // nothing — stability is the point.
-                let (p0, p1) = self.cache.protected();
-                for (slot, id) in [(0usize, p0), (1, p1)] {
-                    if id == u32::MAX || id == leaf {
-                        continue;
-                    }
-                    if let Some(node) = self.nodes.get(id as usize) {
-                        if matches!(node, Node::Leaf { .. }) && Self::node_covers(node, key) {
-                            self.cache.count_hit_protected(slot);
-                            return id;
-                        }
-                    }
-                }
-                // The primary leaf's parent: one verified fence check
-                // buys a single-level re-descent. A live covering
-                // parent of a leaf always routes to a leaf; the nested
-                // check only fails on a torn slot, which falls through
-                // to the walk.
-                if parent != u32::MAX {
-                    if let Some(node) = self.nodes.get(parent as usize) {
-                        if let Node::Internal { keys, children, .. } = node {
-                            if Self::node_covers(node, key) {
-                                let child = children[Self::route(keys, key)];
-                                if let Some(cn) = self.nodes.get(child as usize) {
-                                    if matches!(cn, Node::Leaf { .. }) {
-                                        self.cache.count_partial();
-                                        self.cache.record_leaf(child);
-                                        return child;
-                                    }
-                                }
-                            }
-                        }
-                    }
-                }
-            }
-        } else if gate == ProbeGate::Skip {
-            // Bypass active: the stream has shown no locality, so
-            // skip the rung checks *and* the path recording — this
-            // probe is a plain cold walk plus two counter updates.
-            self.cache.count_miss();
-            return self.find_leaf_cold(key);
-        }
-        self.cache.count_miss();
-        let mut walk = InlinePath::new();
-        walk.push(self.root);
-        let leaf = self.descend_from(self.root, key, &mut walk);
-        self.cache.record_walk(self.epoch, &walk);
-        leaf
-    }
-
-    /// Cold root-to-leaf walk: no branch cache, no recording. The
-    /// baseline the cached descent is differentially tested and
-    /// benchmarked against.
-    pub(crate) fn find_leaf_cold(&self, key: &K) -> u32 {
         let mut id = self.root;
         loop {
             match self.node(id) {
@@ -389,52 +219,7 @@ impl<K: Ord + Clone, V: Clone> BPlusTree<K, V> {
 
     /// Looks up the value stored under `key`.
     pub fn get(&self, key: &K) -> Option<&V> {
-        // Fast rung: fence check and in-leaf search fused on the
-        // primary cached leaf. Under a matching epoch the leaf is
-        // live and untouched since it was recorded, so an exact match
-        // in it is the answer no matter where its fences lie, and a
-        // strictly interior `Err` proves absence (the leaf's routing
-        // interval contains its whole key span) — both resolve
-        // without ever loading the fences. Boundary `Err`s fall to
-        // the full ladder. Gated by a plain confidence load so
-        // bypassed streams pay `find_leaf`'s gate accounting only.
-        if self.cache.confident() {
-            if let Some(leaf) = self.cache.probe_leaf(self.epoch) {
-                if let Node::Leaf { keys, values, .. } = self.node(leaf) {
-                    match hinted_search(keys, key) {
-                        Ok(i) => {
-                            self.cache.count_hit();
-                            return Some(&values[i]);
-                        }
-                        Err(j) if j > 0 && j < keys.len() => {
-                            self.cache.count_hit();
-                            return None;
-                        }
-                        _ => {}
-                    }
-                }
-            }
-        }
-        // Fallback rung: probes that reach here come from streams
-        // with little locality, where the hint directory's short
-        // linear scan mispredicts its exit on every probe (~35 ns/op
-        // measured on uniform streams) — the branchless
-        // `binary_search` is the right tool for scattered keys, the
-        // hinted scan for the local streams the fast rung serves.
-        let leaf = self.find_leaf(key);
-        match self.node(leaf) {
-            Node::Leaf { keys, values, .. } => keys.binary_search(key).ok().map(|i| &values[i]),
-            _ => unreachable!(),
-        }
-    }
-
-    /// [`BPlusTree::get`] without the branch cache: a full root walk
-    /// with plain binary searches. Kept callable as the differential
-    /// baseline — the lookup bench and the cache property tests pin
-    /// `get` byte-identical to `get_cold` under arbitrary histories.
-    pub fn get_cold(&self, key: &K) -> Option<&V> {
-        let leaf = self.find_leaf_cold(key);
-        match self.node(leaf) {
+        match self.node(self.find_leaf(key)) {
             Node::Leaf { keys, values, .. } => keys.binary_search(key).ok().map(|i| &values[i]),
             _ => unreachable!(),
         }
@@ -442,24 +227,17 @@ impl<K: Ord + Clone, V: Clone> BPlusTree<K, V> {
 
     /// Looks up a mutable reference to the value stored under `key`.
     ///
-    /// Structure and keys are untouched, so cached descent paths stay
-    /// valid; only the leaf's *value column* is detached if shared.
+    /// Structure and keys are untouched; only the leaf's *value
+    /// column* is detached if shared.
     pub fn get_mut(&mut self, key: &K) -> Option<&mut V> {
         let leaf = self.find_leaf(key);
         match self.node_mut(leaf) {
-            Node::Leaf { keys, values, .. } => match hinted_search(keys, key) {
+            Node::Leaf { keys, values, .. } => match keys.binary_search(key) {
                 Ok(i) => Some(&mut values.make_mut()[i]),
                 Err(_) => None,
             },
             _ => unreachable!(),
         }
-    }
-
-    /// `(leaf hits, partial hits, full-walk misses)` of the branch
-    /// cache since this tree instance was created (clones start from
-    /// zero). Also surfaced through [`TreeStats`].
-    pub fn descent_cache_counters(&self) -> (u64, u64, u64) {
-        self.cache.counters()
     }
 
     /// Whether `key` is present.
@@ -470,7 +248,6 @@ impl<K: Ord + Clone, V: Clone> BPlusTree<K, V> {
     /// Inserts `key → value`; returns the previous value if `key` was
     /// already present (the entry is replaced, not duplicated).
     pub fn insert(&mut self, key: K, value: V) -> Option<V> {
-        self.bump_epoch();
         let (old, split) = self.insert_rec(self.root, key, value);
         if let Some((sep, right)) = split {
             let old_root = self.root;
@@ -625,7 +402,6 @@ impl<K: Ord + Clone, V: Clone> BPlusTree<K, V> {
 
     /// Removes `key`, returning its value if it was present.
     pub fn remove(&mut self, key: &K) -> Option<V> {
-        self.bump_epoch();
         let removed = self.remove_rec(self.root, key);
         if removed.is_some() {
             self.len -= 1;
@@ -969,13 +745,6 @@ impl<K: Ord + Clone, V: Clone> BPlusTree<K, V> {
         Range::new(self, bounds)
     }
 
-    /// [`BPlusTree::range`] positioned by a cold root walk instead of
-    /// the branch cache — the differential baseline for the lookup
-    /// bench and the cache property tests.
-    pub fn range_cold<R: RangeBounds<K>>(&self, bounds: R) -> Range<'_, K, V> {
-        Range::new_cold(self, bounds)
-    }
-
     /// Iterates all entries in key order.
     pub fn iter(&self) -> Range<'_, K, V> {
         self.range(..)
@@ -1128,7 +897,6 @@ impl<K: Ord + Clone, V: Clone> BPlusTree<K, V> {
             depth += 1;
             id = children[0];
         }
-        let (cache_hits, cache_partial_hits, cache_misses) = self.cache.counters();
         TreeStats {
             len: self.len,
             leaves,
@@ -1139,9 +907,9 @@ impl<K: Ord + Clone, V: Clone> BPlusTree<K, V> {
             shared_pages: self.nodes.shared_pages(),
             free_slots: self.free.len(),
             pages_detached: self.nodes.pages_detached(),
-            cache_hits,
-            cache_partial_hits,
-            cache_misses,
+            cache_hits: 0,
+            cache_partial_hits: 0,
+            cache_misses: 0,
         }
     }
 
@@ -1174,8 +942,6 @@ impl<K: Ord + Clone, V: Clone> BPlusTree<K, V> {
         if self.free.is_empty() {
             return;
         }
-        // Compaction renumbers arena slots: every cached path is junk.
-        self.bump_epoch();
         #[cfg(debug_assertions)]
         let before = {
             let s = self.stats();

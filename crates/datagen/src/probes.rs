@@ -1,17 +1,8 @@
-//! Point-probe key streams over an index space `0..n` — uniform,
-//! sorted (sequential sweep), and zipf-skewed — deterministic in the
-//! seed.
-//!
-//! These are the probe patterns the lookup bench sweeps the B+tree
-//! descent fast paths with: sorted sweeps advance through one leaf at
-//! a time, zipf streams model a query workload over zipf-popular
-//! documents — short bursts of adjacent probes into a hot document's
-//! posting block (see [`zipf_probes`] — the skewed document choice of
-//! [`crate::concurrent`], split across two hot shards), and uniform
-//! streams are the adversarial no-locality baseline.
+//! Skewed choice over `0..n`: the zipf-popular document choice of
+//! [`crate::concurrent`].
 
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::Rng;
 
 /// Zipf sampler over `0..n` via the precomputed cumulative
 /// distribution — exact, and fast enough for workload generation.
@@ -44,136 +35,22 @@ impl Zipf {
     }
 }
 
-/// `count` independent uniform draws from `0..n`.
-///
-/// # Panics
-/// Panics if `n == 0`.
-pub fn uniform_probes(n: usize, count: usize, seed: u64) -> Vec<usize> {
-    assert!(n > 0, "probe space must be non-empty");
-    let mut rng = StdRng::seed_from_u64(seed);
-    (0..count).map(|_| rng.gen_range(0..n)).collect()
-}
-
-/// A sequential wrap-around sweep of `count` probes through `0..n`,
-/// starting at a seed-derived offset — the fully local pattern where
-/// consecutive probes land in the same or the adjacent leaf.
-///
-/// # Panics
-/// Panics if `n == 0`.
-pub fn sorted_probes(n: usize, count: usize, seed: u64) -> Vec<usize> {
-    assert!(n > 0, "probe space must be non-empty");
-    let start = StdRng::seed_from_u64(seed).gen_range(0..n);
-    (0..count).map(|i| (start + i) % n).collect()
-}
-
-/// Keys per document region in [`zipf_probes`] — the posting block a
-/// single hot document owns in the key space.
-pub const ZIPF_REGION: usize = 512;
-/// Probes per query burst in [`zipf_probes`].
-pub const ZIPF_BURST: usize = 32;
-
-/// `count` probes modeling a zipf-skewed *query* workload: the key
-/// space is split into document regions of [`ZIPF_REGION`] keys, each
-/// query picks a region zipf-by-popularity (skew `theta`) and then
-/// probes [`ZIPF_BURST`] adjacent keys from a uniform start inside it
-/// — the way evaluating a query probes one document's posting block
-/// with a run of adjacent lookups before moving on. Region ranks are
-/// interleaved across the two halves of the key space (rank `2j` maps
-/// to region `j`, rank `2j + 1` to the region at `n/2 + j·REGION`), so
-/// the two hottest documents live on different shards and consecutive
-/// bursts alternate between them unpredictably.
-///
-/// Unlike an independent-draw stream, the per-key *marginal* inside a
-/// hot region is near-uniform; what is zipf here is document
-/// popularity, which is where the skew sits in real XML corpora —
-/// probes revisit a handful of hot posting blocks over and over while
-/// the tail of cold documents is touched in rare scattered bursts.
-///
-/// # Panics
-/// Panics if `n == 0`.
-pub fn zipf_probes(n: usize, count: usize, theta: f64, seed: u64) -> Vec<usize> {
-    assert!(n > 0, "probe space must be non-empty");
-    let regions = n.div_ceil(ZIPF_REGION);
-    let zipf = Zipf::new(regions, theta);
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut out = Vec::with_capacity(count);
-    while out.len() < count {
-        let r = zipf.sample(&mut rng);
-        // Interleave ranks across the two halves of the region list;
-        // with an odd region count one pair of ranks shares a region,
-        // which only nudges the popularity of that region.
-        let region = (r & 1) * (regions / 2) + (r >> 1);
-        let base = region * ZIPF_REGION;
-        let span = ZIPF_REGION.min(n - base);
-        let off = rng.gen_range(0..span);
-        for i in 0..ZIPF_BURST.min(count - out.len()) {
-            out.push(base + (off + i) % span);
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::SeedableRng;
 
     #[test]
     fn deterministic_and_in_range() {
         for n in [1usize, 7, 1000] {
-            for gen in [uniform_probes, sorted_probes] {
-                let a = gen(n, 500, 42);
-                assert_eq!(a, gen(n, 500, 42));
-                assert!(a.iter().all(|&k| k < n));
-            }
-            let z = zipf_probes(n, 500, 1.1, 42);
-            assert_eq!(z, zipf_probes(n, 500, 1.1, 42));
-            assert!(z.iter().all(|&k| k < n));
-        }
-    }
-
-    #[test]
-    fn sorted_probes_are_sequential() {
-        let s = sorted_probes(1000, 100, 9);
-        for w in s.windows(2) {
-            assert_eq!(w[1], (w[0] + 1) % 1000);
-        }
-    }
-
-    #[test]
-    fn zipf_concentrates_on_two_hot_documents() {
-        let n = 100_000;
-        let z = zipf_probes(n, 10_000, 1.5, 3);
-        // Rank 0 is the region at the start of the key space, rank 1
-        // the one at the start of the second half.
-        let regions = n.div_ceil(ZIPF_REGION);
-        let second_base = (regions / 2) * ZIPF_REGION;
-        let first = |k: usize| k < ZIPF_REGION;
-        let second = |k: usize| (second_base..second_base + ZIPF_REGION).contains(&k);
-        let hot = z.iter().filter(|&&k| first(k) || second(k)).count();
-        assert!(hot > 4_000, "hot share {hot}/10000");
-        // Both shards must actually be hot, not just the low one.
-        let snd = z.iter().filter(|&&k| second(k)).count();
-        assert!(snd > 1_200, "second shard share {snd}/10000");
-        // Uniform by contrast touches the two hot regions rarely.
-        let u = uniform_probes(n, 10_000, 3);
-        let uhot = u.iter().filter(|&&k| first(k) || second(k)).count();
-        assert!(uhot < 400, "uniform hot share {uhot}/10000");
-    }
-
-    #[test]
-    fn zipf_probes_come_in_adjacent_bursts() {
-        let z = zipf_probes(1_000_000, 1_600, 1.2, 7);
-        for burst in z.chunks(ZIPF_BURST) {
-            for w in burst.windows(2) {
-                // Adjacent within the burst (modulo a wrap at the
-                // region boundary).
-                assert!(
-                    w[1] == w[0] + 1 || w[1] + ZIPF_REGION == w[0] + 1,
-                    "non-adjacent probes {} -> {} inside a burst",
-                    w[0],
-                    w[1]
-                );
-            }
+            let zipf = Zipf::new(n, 1.1);
+            let draw = |seed| {
+                let mut rng = StdRng::seed_from_u64(seed);
+                (0..500).map(|_| zipf.sample(&mut rng)).collect::<Vec<_>>()
+            };
+            let a = draw(42);
+            assert_eq!(a, draw(42));
+            assert!(a.iter().all(|&k| k < n));
         }
     }
 }

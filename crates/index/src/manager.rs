@@ -274,8 +274,8 @@ impl IndexManager {
 
     /// Structural [`xvi_btree::TreeStats`] for every tree-backed index
     /// this manager holds, labeled by index kind — the per-kind series
-    /// the observability registry's tree collector exports (cache
-    /// hit/miss counters, page sharing, COW detach totals).
+    /// the observability registry's tree collector exports (entries,
+    /// page sharing, COW detach totals).
     pub fn tree_stats_by_kind(&self) -> Vec<(String, xvi_btree::TreeStats)> {
         let mut out = Vec::new();
         if let Some(s) = &self.string {

@@ -579,8 +579,8 @@ impl ServiceMetrics {
 
 /// Registers the snapshot-time collector that pulls cheap-to-read but
 /// pointless-to-mirror values out of the shards: queue depths, doc
-/// counts, and the per-kind B+tree statistics (cache hit/miss
-/// counters, page sharing, cumulative COW detaches) summed across
+/// counts, and the per-kind B+tree statistics (entries, page
+/// sharing, cumulative COW detaches) summed across
 /// every published document. Holds only a [`Weak`] reference — the
 /// service owns the registry, so a strong one would leak the cycle.
 fn register_shard_collector(obs: &Obs, shards: &Arc<Vec<Shard>>) {
@@ -620,9 +620,6 @@ fn register_shard_collector(obs: &Obs, shards: &Arc<Vec<Shard>>) {
                         agg.pages += stats.pages;
                         agg.shared_pages += stats.shared_pages;
                         agg.pages_detached += stats.pages_detached;
-                        agg.cache_hits += stats.cache_hits;
-                        agg.cache_partial_hits += stats.cache_partial_hits;
-                        agg.cache_misses += stats.cache_misses;
                     } else {
                         by_kind.insert(kind, stats);
                     }
@@ -662,24 +659,6 @@ fn register_shard_collector(obs: &Obs, shards: &Arc<Vec<Shard>>) {
                 "Cumulative COW page detaches per index kind",
                 &labels,
                 s.pages_detached,
-            );
-            sink.counter(
-                "xvi_btree_cache_hits_total",
-                "Branch-cache full hits per index kind",
-                &labels,
-                s.cache_hits,
-            );
-            sink.counter(
-                "xvi_btree_cache_partial_hits_total",
-                "Branch-cache partial hits per index kind",
-                &labels,
-                s.cache_partial_hits,
-            );
-            sink.counter(
-                "xvi_btree_cache_misses_total",
-                "Branch-cache misses per index kind",
-                &labels,
-                s.cache_misses,
             );
         }
     }));

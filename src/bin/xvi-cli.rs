@@ -381,16 +381,6 @@ fn tree_line(label: &str, t: xvi::btree::TreeStats) {
          {} pages ({} shared, {} free slots)",
         t.len, t.depth, t.leaves, t.internals, t.pages, t.shared_pages, t.free_slots
     );
-    let probes = t.cache_hits + t.cache_partial_hits + t.cache_misses;
-    if probes > 0 {
-        println!(
-            "    descent cache: {} hits / {} partial / {} misses ({:.1}% resolved near the leaf)",
-            t.cache_hits,
-            t.cache_partial_hits,
-            t.cache_misses,
-            100.0 * (t.cache_hits + t.cache_partial_hits) as f64 / probes as f64
-        );
-    }
 }
 
 /// Dumps every configured index's B+tree shape (`TreeStats`: entry
@@ -1234,21 +1224,6 @@ fn repl_metrics(idx: &IndexManager, obs: &Obs) {
             "xvi_btree_pages_detached_total",
             "Cumulative copy-on-write page detaches per tree",
             t.pages_detached,
-        );
-        g(
-            "xvi_btree_cache_hits_total",
-            "Descents resolved at the branch-cached leaf",
-            t.cache_hits,
-        );
-        g(
-            "xvi_btree_cache_partial_hits_total",
-            "Descents resolved from a cached ancestor",
-            t.cache_partial_hits,
-        );
-        g(
-            "xvi_btree_cache_misses_total",
-            "Descents that fell back to a full root walk",
-            t.cache_misses,
         );
     }
     print!("{}", obs.registry.snapshot().to_prometheus());
