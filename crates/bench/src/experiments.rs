@@ -6,7 +6,7 @@
 //! binary logic at permille 1 without touching process environment;
 //! the binaries are thin wrappers passing `scale_permille()` /
 //! `reps()`. System-level throughput, latency and durability are
-//! measured by the `perfbench` package and `xvi-cli stress` /
+//! measured by the `perfbench` package and driven by hand with
 //! `xvi-cli serve`, not here.
 
 use xvi_datagen::{Dataset, UpdateWorkload};

@@ -20,8 +20,8 @@
 //!
 //! System throughput, latency and durability are not measured here:
 //! the `perfbench` package at the repository root is the system
-//! benchmark, and `xvi-cli stress` / `xvi-cli serve` drive the service
-//! and the serving frontend by hand.
+//! benchmark, and `xvi-cli serve` drives the service behind the
+//! serving frontend by hand.
 
 use std::time::{Duration, Instant};
 

@@ -17,14 +17,12 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod concurrent;
 pub mod probes;
 pub mod reallife;
 pub mod updates;
 mod vocab;
 pub mod xmark;
 
-pub use concurrent::{ConcurrentConfig, ConcurrentWorkload, WorkloadOp};
 pub use updates::UpdateWorkload;
 
 /// The paper's eight evaluation datasets.

@@ -1,5 +1,5 @@
-//! Skewed choice over `0..n`: the zipf-popular document choice of
-//! [`crate::concurrent`].
+//! Skewed choice over `0..n`: a zipf-popular pick of documents or
+//! keys for workload generators.
 
 use rand::rngs::StdRng;
 use rand::Rng;
@@ -52,5 +52,25 @@ mod tests {
             assert_eq!(a, draw(42));
             assert!(a.iter().all(|&k| k < n));
         }
+    }
+
+    #[test]
+    fn zipf_skews_towards_first_ranks() {
+        let counts = |theta| {
+            let zipf = Zipf::new(8, theta);
+            let mut rng = StdRng::seed_from_u64(3);
+            let mut counts = [0usize; 8];
+            for _ in 0..4_000 {
+                counts[zipf.sample(&mut rng)] += 1;
+            }
+            counts
+        };
+        // The hottest rank must absorb clearly more draws than the
+        // coldest one.
+        let skewed = counts(1.2);
+        assert!(skewed[0] > skewed[7] * 3, "counts {skewed:?}");
+        // Uniform (theta 0) spreads roughly evenly.
+        let uniform = counts(0.0);
+        assert!(uniform.iter().all(|&c| c > 4_000 / 8 / 2), "{uniform:?}");
     }
 }

@@ -62,7 +62,7 @@ pub use config::IndexConfig;
 pub use error::IndexError;
 pub use lookup::{Bounds, Lookup, QueryResult};
 pub use manager::{IndexManager, IndexStats};
-pub use query::{Explanation, Plan, PlannerConfig, PredicateReport, Probe, Query, QueryEngine};
+pub use query::{Explanation, Plan, PredicateReport, Probe, Query, QueryEngine};
 pub use service::{
     CommitReceipt, CommitTicket, DocId, DocSnapshot, Durability, IndexService, ServiceConfig,
     ServiceSnapshot,

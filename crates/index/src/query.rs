@@ -188,33 +188,20 @@ impl std::fmt::Display for Plan {
     }
 }
 
-/// Cost-model knobs of the planner.
-#[derive(Debug, Clone, PartialEq)]
-pub struct PlannerConfig {
-    /// Scan threshold: fall back to [`Plan::Scan`] when even the
-    /// cheapest probe's estimated candidate count exceeds this
-    /// fraction of the document's (approximate) node population —
-    /// verifying that many candidates costs more than one walk over
-    /// the tree.
-    pub scan_fraction: f64,
-    /// Consider intersecting a second probe only when the best probe
-    /// still expects more candidates than this.
-    pub intersect_min: usize,
-    /// A second probe joins an intersection only if its estimate is
-    /// within this factor of the best probe's (probing a wildly less
-    /// selective index costs more than it prunes).
-    pub intersect_factor: f64,
-}
+/// Scan threshold: fall back to [`Plan::Scan`] when even the cheapest
+/// probe's estimated candidate count exceeds this fraction of the
+/// document's (approximate) node population — verifying that many
+/// candidates costs more than one walk over the tree.
+const SCAN_FRACTION: f64 = 0.5;
 
-impl Default for PlannerConfig {
-    fn default() -> Self {
-        PlannerConfig {
-            scan_fraction: 0.5,
-            intersect_min: 64,
-            intersect_factor: 8.0,
-        }
-    }
-}
+/// Consider intersecting a second probe only when the best probe still
+/// expects more candidates than this.
+const INTERSECT_MIN: usize = 64;
+
+/// A second probe joins an intersection only if its estimate is within
+/// this factor of the best probe's (probing a wildly less selective
+/// index costs more than it prunes).
+const INTERSECT_FACTOR: f64 = 8.0;
 
 /// One enumerated candidate predicate in an [`Explanation`]: its
 /// lowered lookup, its cardinality estimate, and the *actual*
@@ -350,12 +337,6 @@ impl QueryEngine {
         probes
     }
 
-    /// Chooses the execution plan for a query with the default
-    /// [`PlannerConfig`] — see [`QueryEngine::plan_with`].
-    pub fn plan(idx: &IndexManager, query: &Query) -> Plan {
-        Self::plan_with(idx, query, &PlannerConfig::default())
-    }
-
     /// Chooses the execution plan cost-based: enumerate every
     /// candidate probe ([`QueryEngine::candidate_probes`]), rank them
     /// by estimated cardinality, and emit
@@ -365,23 +346,23 @@ impl QueryEngine {
     /// * [`Plan::Intersect`] when a second probe on the same step is
     ///   close enough in selectivity to prune the anchor set further,
     /// * [`Plan::Index`] with the most selective probe otherwise.
-    pub fn plan_with(idx: &IndexManager, query: &Query, cfg: &PlannerConfig) -> Plan {
+    pub fn plan(idx: &IndexManager, query: &Query) -> Plan {
         let mut probes = Self::candidate_probes(idx, query);
         if probes.is_empty() {
             return Plan::Scan;
         }
         probes.sort_by_key(|p| p.estimate.estimate);
-        let scan_threshold = (cfg.scan_fraction * idx.approx_node_count() as f64) as usize;
+        let scan_threshold = (SCAN_FRACTION * idx.approx_node_count() as f64) as usize;
         let best = probes[0].clone();
         if best.estimate.estimate > scan_threshold {
             return Plan::Scan;
         }
-        if best.estimate.estimate >= cfg.intersect_min {
+        if best.estimate.estimate >= INTERSECT_MIN {
             let partner = probes[1..].iter().find(|p| {
                 p.step == best.step
                     && p.pred != best.pred
                     && p.estimate.estimate
-                        <= (best.estimate.estimate as f64 * cfg.intersect_factor) as usize
+                        <= (best.estimate.estimate as f64 * INTERSECT_FACTOR) as usize
                     && p.estimate.estimate <= scan_threshold
             });
             if let Some(second) = partner {
@@ -419,7 +400,7 @@ impl QueryEngine {
     }
 
     /// Evaluates `query` under an explicitly chosen [`Plan`] (normally
-    /// from [`QueryEngine::plan_with`]; benchmarks use it to compare
+    /// from [`QueryEngine::plan`]; benchmarks use it to compare
     /// plan shapes on identical queries). A probe whose lookup the
     /// index cannot serve falls back to the scan plan.
     pub fn evaluate_with_plan(
@@ -543,17 +524,7 @@ impl QueryEngine {
     /// assert_eq!(ex.results, 1);
     /// ```
     pub fn explain(doc: &Document, idx: &IndexManager, query: &Query) -> Explanation {
-        Self::explain_with(doc, idx, query, &PlannerConfig::default())
-    }
-
-    /// [`QueryEngine::explain`] under an explicit [`PlannerConfig`].
-    pub fn explain_with(
-        doc: &Document,
-        idx: &IndexManager,
-        query: &Query,
-        cfg: &PlannerConfig,
-    ) -> Explanation {
-        let plan = Self::plan_with(idx, query, cfg);
+        let plan = Self::plan(idx, query);
         let chosen = |step: usize, pred: usize| match &plan {
             Plan::Index(p) => p.step == step && p.pred == pred,
             Plan::Intersect(a, b) => {
@@ -1318,13 +1289,13 @@ mod tests {
         assert_eq!(doc.string_value(hits[0]), "200");
     }
 
-    /// With an aggressive config, two same-step predicates of similar
-    /// selectivity are intersected, and the intersection agrees with
-    /// the scan.
+    /// Two same-step predicates of similar selectivity, both past
+    /// `INTERSECT_MIN`, are intersected, and the intersection agrees
+    /// with the scan.
     #[test]
     fn intersection_of_two_probes() {
         let mut xml = String::from("<r>");
-        for i in 0..20 {
+        for i in 0..400 {
             let a = if i % 2 == 0 { "even" } else { "odd" };
             let b = if i % 3 == 0 { "fizz" } else { "buzz" };
             xml.push_str(&format!("<p><a>{a}</a><b>{b}</b></p>"));
@@ -1333,34 +1304,29 @@ mod tests {
         let doc = Document::parse(&xml).unwrap();
         let idx = IndexManager::build(&doc, IndexConfig::default());
         let q = QueryEngine::parse("//p[.//a = \"even\"][.//b = \"fizz\"]").unwrap();
-        let cfg = PlannerConfig {
-            scan_fraction: 1.0,
-            intersect_min: 1,
-            intersect_factor: 100.0,
-        };
-        let plan = QueryEngine::plan_with(&idx, &q, &cfg);
+        let plan = QueryEngine::plan(&idx, &q);
         assert!(matches!(plan, Plan::Intersect(_, _)), "{plan}");
         let fast = QueryEngine::evaluate_with_plan(&doc, &idx, &q, &plan);
         assert_eq!(fast, QueryEngine::evaluate_scan(&doc, &q));
-        // Every fourth… no: i % 2 == 0 && i % 3 == 0 → i in {0, 6, 12, 18}.
-        assert_eq!(fast.len(), 4);
+        // i % 2 == 0 && i % 3 == 0 → every sixth i in 0..400.
+        assert_eq!(fast.len(), 67);
     }
 
-    /// The scan threshold knob: a zero threshold forces every plan to
-    /// a scan; a generous one restores the index plan.
+    /// The scan threshold: a probe expected to cover more than half of
+    /// the document's nodes is not worth verifying, so the plan is a
+    /// scan — and answers exactly as the scan does.
     #[test]
     fn scan_threshold_knob() {
-        let (_, idx) = setup();
-        let q = QueryEngine::parse("//person[.//age = 42]").unwrap();
-        let scan_cfg = PlannerConfig {
-            scan_fraction: 0.0,
-            ..PlannerConfig::default()
-        };
-        assert_eq!(QueryEngine::plan_with(&idx, &q, &scan_cfg), Plan::Scan);
-        assert!(matches!(
-            QueryEngine::plan_with(&idx, &q, &PlannerConfig::default()),
-            Plan::Index(_)
-        ));
+        let xml = format!("<r>{}</r>", "<p>x</p>".repeat(50));
+        let doc = Document::parse(&xml).unwrap();
+        let idx = IndexManager::build(&doc, IndexConfig::default());
+        let est = idx.estimate(&Lookup::equi("x")).unwrap();
+        assert!(2 * est.estimate > idx.approx_node_count(), "{est:?}");
+        let q = QueryEngine::parse("//p[text() = \"x\"]").unwrap();
+        assert_eq!(QueryEngine::plan(&idx, &q), Plan::Scan);
+        let hits = QueryEngine::evaluate(&doc, &idx, &q);
+        assert_eq!(hits, QueryEngine::evaluate_scan(&doc, &q));
+        assert_eq!(hits.len(), 50);
     }
 
     #[test]

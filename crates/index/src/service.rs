@@ -172,7 +172,7 @@ impl ServiceConfig {
 /// publish starts from a pointer bump and [`Arc::make_mut`] — which,
 /// combined with the paged arenas inside [`Document`] and
 /// [`IndexManager`], copies only the pages the batch touches.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct SharedVersion {
     doc: Arc<Document>,
     idx: IndexManager,
@@ -1030,18 +1030,10 @@ impl IndexService {
         self.shard_of(&id).catalog.write().insert(id, handle);
     }
 
-    /// Removes a document, returning its final state. Panics if the
-    /// removal could not be logged on a [`Durability::Wal`] service;
-    /// use [`IndexService::try_remove_document`] to handle that.
-    pub fn remove_document(&self, id: &str) -> Option<(Document, IndexManager)> {
-        self.try_remove_document(id)
-            .expect("WAL append/fsync failed while removing the document")
-    }
-
-    /// Fallible [`IndexService::remove_document`]: an `Err` means the
-    /// WAL append or fsync failed and the document is still
-    /// registered.
-    pub fn try_remove_document(&self, id: &str) -> io::Result<Option<(Document, IndexManager)>> {
+    /// Removes a document, returning its final state (`None` if no
+    /// document is registered under `id`). An `Err` means the WAL
+    /// append or fsync failed and the document is still registered.
+    pub fn remove_document(&self, id: &str) -> io::Result<Option<(Document, IndexManager)>> {
         let shard = self.shard_of(id);
         // Lock order: wal → catalog (see `Shard`).
         let mut wal_guard = shard
@@ -1059,11 +1051,8 @@ impl IndexService {
         let handle = catalog.remove(id).expect("presence checked above");
         drop(catalog);
         drop(wal_guard);
-        let version = handle.current();
-        match Arc::try_unwrap(version) {
-            Ok(v) => Ok(Some((Arc::unwrap_or_clone(v.doc), v.idx))),
-            Err(shared) => Ok(Some(((*shared.doc).clone(), shared.idx.clone()))),
-        }
+        let v = Arc::unwrap_or_clone(handle.current());
+        Ok(Some((Arc::unwrap_or_clone(v.doc), v.idx)))
     }
 
     /// Whether a document is registered under `id`.
@@ -1689,50 +1678,25 @@ impl IndexService {
                         continue;
                     }
                     let publish_t0 = clock.now_ns();
-                    let mut cow = false;
-                    let pages_detached: u64;
                     let mut published = handle.published.write();
-                    let writes = coalesced.iter().map(|(n, v)| (*n, v.as_str()));
-                    if let Some(version) = Arc::get_mut(&mut published) {
-                        // No snapshot is outstanding, so nobody can
-                        // observe this version: update it in place at
-                        // the paper's O(writes + ancestors) cost
-                        // (readers briefly queue on the published
-                        // lock). `make_mut` on the inner
-                        // document is in-place too unless an older
-                        // version still shares it.
-                        let before = version.idx.pages_detached();
-                        version
-                            .idx
-                            .update_values(Arc::make_mut(&mut version.doc), writes)
-                            .expect("writes were validated against this version");
-                        version.version += committed;
-                        pages_detached = version.idx.pages_detached() - before;
-                    } else {
-                        // Live snapshots exist: copy-on-write so they
-                        // stay immutable, and swap in the successor.
-                        // Both "clones" are O(pages) pointer bumps —
-                        // the paged arenas underneath share every page
-                        // with the pinned version, and `update_values`
-                        // detaches only the pages the batch touches,
-                        // so the publish costs O(touched set), not
-                        // O(document).
-                        cow = true;
-                        let mut doc = Arc::clone(&published.doc);
-                        let mut idx = published.idx.clone();
-                        // The clone inherited the base's cumulative
-                        // detach count, so the delta is exactly the
-                        // pages this publish copied.
-                        let before = idx.pages_detached();
-                        idx.update_values(Arc::make_mut(&mut doc), writes)
-                            .expect("writes were validated against this version");
-                        pages_detached = idx.pages_detached() - before;
-                        *published = Arc::new(SharedVersion {
-                            version: published.version + committed,
-                            doc,
-                            idx,
-                        });
-                    }
+                    // No snapshot outstanding: update in place at the
+                    // paper's O(writes + ancestors) cost. Otherwise
+                    // copy-on-write: the clone is O(pages) pointer
+                    // bumps, and `update_values` detaches only the
+                    // pages the batch touches, so pinned snapshots stay
+                    // immutable and the publish costs O(touched set).
+                    let cow = Arc::get_mut(&mut published).is_none();
+                    let version = Arc::make_mut(&mut published);
+                    let before = version.idx.pages_detached();
+                    version
+                        .idx
+                        .update_values(
+                            Arc::make_mut(&mut version.doc),
+                            coalesced.iter().map(|(n, v)| (*n, v.as_str())),
+                        )
+                        .expect("writes were validated against this version");
+                    version.version += committed;
+                    let pages_detached = version.idx.pages_detached() - before;
                     drop(published);
                     drop(catalog);
                     // Still under the wal mutex: the count stays
@@ -1949,10 +1913,10 @@ mod tests {
         assert_eq!(service.doc_ids(), vec!["a", "b"]);
         assert!(service.contains_document("a"));
         assert!(!service.contains_document("c"));
-        let (doc, idx) = service.remove_document("b").unwrap();
+        let (doc, idx) = service.remove_document("b").unwrap().unwrap();
         assert_eq!(idx.query(&doc, &Lookup::equi("Ford")).unwrap().len(), 2);
         assert_eq!(service.doc_count(), 1);
-        assert!(service.remove_document("b").is_none());
+        assert!(service.remove_document("b").unwrap().is_none());
     }
 
     #[test]

@@ -295,7 +295,7 @@ mod tests {
         let mut t = store.begin();
         t.set_value(a, "Random");
         store.commit(DOC_ID, t).unwrap();
-        let (doc, idx) = store.remove_document(DOC_ID).unwrap();
+        let (doc, idx) = store.remove_document(DOC_ID).unwrap().unwrap();
         assert_eq!(
             idx.query(&doc, &Lookup::equi("RandomDent")).unwrap().len(),
             1

@@ -162,7 +162,7 @@ fn shrinking_resave_removes_orphaned_doc_files() {
     assert!(scratch.0.join("doc1.xml").exists());
 
     let service = IndexService::load_catalog(&scratch.0).unwrap();
-    assert!(service.remove_document("beta").is_some());
+    assert!(service.remove_document("beta").unwrap().is_some());
     service.save_catalog(&scratch.0).unwrap();
     assert!(
         !scratch.0.join("doc1.xml").exists(),

@@ -4,8 +4,7 @@
 //! surface across the manager/snapshot/service layers.
 
 use xvi_index::{
-    Document, IndexConfig, IndexManager, IndexService, Lookup, Plan, PlannerConfig, QueryEngine,
-    ServiceConfig,
+    Document, IndexConfig, IndexManager, IndexService, Lookup, Plan, QueryEngine, ServiceConfig,
 };
 
 /// A synthetic "people" document with controlled selectivities:
@@ -162,25 +161,34 @@ fn malformed_forced_plans_degrade_to_scan() {
     );
 }
 
-/// The scan-threshold knob governs whether an unselective lone
-/// predicate is probed at all.
+/// The scan threshold governs whether an unselective lone predicate
+/// is probed at all.
 #[test]
 fn scan_threshold_governs_unselective_probe() {
     let (_, idx) = setup(120);
     let q = QueryEngine::parse("//person[.//education = \"Graduate School\"]").unwrap();
     // The education probe covers every person — about a quarter of
     // the document's nodes, exactly as its estimate (exact through
-    // `count_range`) says.
+    // `count_range`) says — so under the scan threshold (half the
+    // nodes) the probe still wins …
     let est = idx.estimate(&Lookup::equi("Graduate School")).unwrap();
     assert_eq!(est.estimate, 240);
-    // Under the default fraction (0.5) the probe still wins …
     assert!(matches!(QueryEngine::plan(&idx, &q), Plan::Index(_)));
-    // … but a stricter threshold tips it into a scan.
-    let cfg = PlannerConfig {
-        scan_fraction: 0.1,
-        ..PlannerConfig::default()
-    };
-    assert_eq!(QueryEngine::plan_with(&idx, &q, &cfg), Plan::Scan);
+    // … but where it covers more than half of the nodes, the planner
+    // scans, and the scan answers.
+    let mut xml = String::from("<site>");
+    for _ in 0..120 {
+        xml.push_str("<person><education>Graduate School</education></person>");
+    }
+    xml.push_str("</site>");
+    let doc = Document::parse(&xml).unwrap();
+    let idx = IndexManager::build(&doc, IndexConfig::default());
+    let est = idx.estimate(&Lookup::equi("Graduate School")).unwrap();
+    assert!(2 * est.estimate > idx.approx_node_count(), "{est:?}");
+    assert_eq!(QueryEngine::plan(&idx, &q), Plan::Scan);
+    let hits = QueryEngine::evaluate(&doc, &idx, &q);
+    assert_eq!(hits, QueryEngine::evaluate_scan(&doc, &q));
+    assert_eq!(hits.len(), 120);
 }
 
 /// Estimates are served identically by the manager, the document

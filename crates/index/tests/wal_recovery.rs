@@ -332,7 +332,7 @@ fn insert_and_remove_records_replay() {
         let mut txn = service.begin();
         txn.set_value(nodes[0], "updated");
         service.commit("keep", txn).unwrap();
-        assert!(service.remove_document("drop").is_some());
+        assert!(service.remove_document("drop").unwrap().is_some());
         state_bytes(&service)
     };
     let recovered = IndexService::open(wal_config(&scratch.0)).unwrap();

@@ -7,57 +7,47 @@
 //! cargo run --release --bin xvi-cli -- --dataset xmark1 --scale 100
 //! cargo run --release --bin xvi-cli -- query --dataset xmark1 --explain '//person[.//age = 42]'
 //! cargo run --release --bin xvi-cli -- stats --dataset xmark1 --scale 100
-//! cargo run --release --bin xvi-cli -- stress --threads 8 --ops 5000
-//! cargo run --release --bin xvi-cli -- stress --threads 1 --pipeline 64
-//! cargo run --release --bin xvi-cli -- stress --threads 4 --wal /tmp/xvi-wal
-//! cargo run --release --bin xvi-cli -- stress --threads 4 --serve
-//! cargo run --release --bin xvi-cli -- serve --docs 4 --export 'format=csv; columns=doc,node,value; lookup=equi:42'
 //! cargo run --release --bin xvi-cli -- serve --ops 2000 --metrics-out /tmp/xvi-metrics.prom
-//! cargo run --release --bin xvi-cli -- metrics --docs 4 --ops 2000
-//! cargo run --release --bin xvi-cli -- metrics --json --out /tmp/metrics.json
+//! cargo run --release --bin xvi-cli -- serve --docs 4 --export 'format=csv; columns=doc,node,value; lookup=equi:42'
+//! cargo run --release --bin xvi-cli -- serve --wal /tmp/xvi-wal --trace-rate 0.1
 //! cargo run --release --bin xvi-cli -- recover /tmp/xvi-wal --checkpoint
 //! ```
 //!
 //! Then type `help` at the prompt (interactive mode), let the `query`
 //! subcommand evaluate one mini-XPath query (with `--explain` showing
 //! the cost-based plan and estimated vs. actual cardinalities per
-//! candidate predicate), let the `stats` subcommand dump each index's
-//! B+tree `TreeStats` (entries, depth, pages/shared_pages/free_slots)
-//! and the substring q-gram table of a loaded document,
-//! or let the `stress` subcommand drive the sharded index service with
-//! a mixed concurrent workload and report throughput **and latency
-//! percentiles** (p50/p99 for commits and reads separately;
-//! `--pipeline <depth>` keeps that many commits in flight per writer
-//! via `submit`/`CommitTicket` instead of blocking; `--wal <dir>` runs
-//! the same workload durably, group-fsyncing every commit batch into a
-//! per-shard write-ahead log; `--serve` routes every operation through
-//! the `xvi-serve` frontend — admission control, per-tenant DRR
-//! fairness — and additionally reports the server-side `ServerStats`).
-//! The `serve` subcommand hosts documents behind that frontend, drives
-//! a short mixed workload, reports the latency percentiles, and — with
-//! `--export` — streams a config-driven CSV/JSON/JSONL export of a
-//! pinned service snapshot to stdout or `--out <file>`. The `recover`
-//! subcommand reopens a WAL directory — checkpoint plus WAL replay —
-//! and reports what survived; `--checkpoint` then folds the replayed
-//! log into a fresh checkpoint.
+//! candidate predicate), or let the `stats` subcommand dump each
+//! index's B+tree `TreeStats` (entries, depth, pages/shared_pages/free_slots)
+//! and the substring q-gram table of a loaded document.
 //!
-//! Observability: the `metrics` subcommand drives a traced mixed
-//! workload through the serving stack and emits the unified metrics
-//! registry — every layer's counters, gauges and latency histograms —
-//! as a Prometheus text exposition (or `--json`), plus the flight
-//! recorder's slowest-request breakdowns on stderr. `stress` and
-//! `serve` accept `--metrics-out <path>` to dump the same snapshot
-//! (Prometheus to `<path>`, JSON to `<path>.json`) after their run,
-//! and the interactive REPL gains `metrics` (registry snapshot,
-//! including per-tree storage gauges) and `trace` (flight recorder)
-//! commands — every REPL query runs fully traced.
+//! The `serve` subcommand is the one workload driver: it hosts
+//! generated documents in the sharded index service behind the
+//! `xvi-serve` frontend (admission control, per-tenant DRR fairness),
+//! drives a mixed workload of range, equality, substring and XPath
+//! queries with 10% one-write commits, reports the server counters and
+//! latency percentiles, and checks the commit count and every
+//! maintained index against a fresh rebuild. `--wal <dir>` runs it
+//! durably (group-fsynced per-shard write-ahead log, no checkpoint at
+//! the end); `--export` streams a config-driven CSV/JSON/JSONL export
+//! of a pinned service snapshot to stdout or `--out <file>`. The
+//! `recover` subcommand reopens a WAL directory — checkpoint plus WAL
+//! replay — and reports what survived; `--checkpoint` then folds the
+//! replayed log into a fresh checkpoint.
+//!
+//! Observability: `serve --metrics-out <path>` dumps the unified
+//! metrics registry — every layer's counters, gauges and latency
+//! histograms — as Prometheus text to `<path>` and JSON to
+//! `<path>.json`; `--trace-rate <0..1>` samples requests into the
+//! flight recorder and prints the slowest breakdowns on stderr. The
+//! interactive REPL has `metrics` (registry snapshot, including
+//! per-tree storage gauges) and `trace` (flight recorder) commands —
+//! every REPL query runs fully traced.
 
-use std::collections::VecDeque;
 use std::io::{BufRead, Write as _};
-use std::sync::{Arc, Barrier};
+use std::sync::Arc;
 use std::time::Instant;
 
-use xvi::datagen::{ConcurrentConfig, ConcurrentWorkload, Dataset, WorkloadOp};
+use xvi::datagen::Dataset;
 use xvi::index::QueryEngine;
 use xvi::obs::{Obs, RegistrySnapshot, Stage, Unit};
 use xvi::prelude::*;
@@ -65,21 +55,6 @@ use xvi::xml::NodeKind;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.first().map(String::as_str) == Some("stress") {
-        match run_stress(&args[1..]) {
-            Ok(()) => return,
-            Err(msg) => {
-                eprintln!("{msg}");
-                eprintln!(
-                    "usage: xvi-cli stress [--docs <n>] [--threads <n>] [--ops <n>] \
-                     [--scale <permille>] [--write-pct <0-100>] [--group <n>] \
-                     [--shards <n>] [--seed <n>] [--pipeline <depth>] [--wal <dir>] \
-                     [--serve] [--metrics-out <path>]"
-                );
-                std::process::exit(2);
-            }
-        }
-    }
     if args.first().map(String::as_str) == Some("serve") {
         match run_serve_cmd(&args[1..]) {
             Ok(()) => return,
@@ -87,22 +62,10 @@ fn main() {
                 eprintln!("{msg}");
                 eprintln!(
                     "usage: xvi-cli serve [--docs <n>] [--scale <permille>] [--shards <n>] \
-                     [--ops <n>] [--export '<spec>'] [--out <file>] [--metrics-out <path>]\n\
+                     [--ops <n>] [--wal <dir>] [--trace-rate <0..1>] [--export '<spec>'] \
+                     [--out <file>] [--metrics-out <path>]\n\
                      export spec: format=csv|json|jsonl; columns=doc,node,name,kind,value,double,version; \
                      lookup=equi:V|range:LO..HI|contains:V|wildcard:P|xpath:Q; header=true|false"
-                );
-                std::process::exit(2);
-            }
-        }
-    }
-    if args.first().map(String::as_str) == Some("metrics") {
-        match run_metrics_cmd(&args[1..]) {
-            Ok(()) => return,
-            Err(msg) => {
-                eprintln!("{msg}");
-                eprintln!(
-                    "usage: xvi-cli metrics [--docs <n>] [--scale <permille>] [--shards <n>] \
-                     [--ops <n>] [--trace-rate <0..1>] [--json] [--out <file>]"
                 );
                 std::process::exit(2);
             }
@@ -410,137 +373,9 @@ fn print_index_trees(idx: &IndexManager) {
     }
 }
 
-/// `metrics`: build a small served deployment, drive a traced mixed
-/// workload through the full stack (serve → service → planner →
-/// B+trees), and emit the unified registry snapshot — Prometheus text
-/// by default, `--json` for the JSON document — to stdout or `--out`.
-/// The flight recorder's slowest-request breakdowns go to stderr so
-/// stdout stays a valid exposition document.
-fn run_metrics_cmd(args: &[String]) -> Result<(), String> {
-    let mut docs_n = 4usize;
-    let mut scale = 10u32;
-    let mut shards = 4usize;
-    let mut ops = 2_000usize;
-    let mut trace_rate = 1.0f64;
-    let mut json = false;
-    let mut out: Option<String> = None;
-    let mut i = 0;
-    while i < args.len() {
-        let val = |j: usize| -> Result<&String, String> {
-            args.get(j)
-                .ok_or_else(|| format!("{} needs a value", args[j - 1]))
-        };
-        if args[i] == "--json" {
-            json = true;
-            i += 1;
-            continue;
-        }
-        match args[i].as_str() {
-            "--docs" => docs_n = val(i + 1)?.parse().map_err(|e| format!("--docs: {e}"))?,
-            "--scale" => scale = val(i + 1)?.parse().map_err(|e| format!("--scale: {e}"))?,
-            "--shards" => shards = val(i + 1)?.parse().map_err(|e| format!("--shards: {e}"))?,
-            "--ops" => ops = val(i + 1)?.parse().map_err(|e| format!("--ops: {e}"))?,
-            "--trace-rate" => {
-                trace_rate = val(i + 1)?
-                    .parse()
-                    .map_err(|e| format!("--trace-rate: {e}"))?;
-            }
-            "--out" => out = Some(val(i + 1)?.clone()),
-            other => return Err(format!("unknown metrics option `{other}`")),
-        }
-        i += 2;
-    }
-    if docs_n == 0 {
-        return Err("--docs must be positive".into());
-    }
-
-    let suite = Dataset::paper_suite();
-    eprintln!("generating and indexing {docs_n} documents at {scale}‰ …");
-    let service = Arc::new(IndexService::new(
-        ServiceConfig::with_shards(shards)
-            .with_index(IndexConfig::default().with_substring_index()),
-    ));
-    service.obs().tracer.set_sample_rate(trace_rate);
-    let mut value_nodes = Vec::new();
-    for i in 0..docs_n {
-        let xml = suite[i % suite.len()].generate(scale);
-        let doc = Document::parse(&xml).expect("generated datasets parse");
-        value_nodes.push(
-            doc.descendants_or_self(doc.document_node())
-                .find(|&n| doc.kind(n).has_direct_value())
-                .expect("generated documents contain text"),
-        );
-        service.insert_document(format!("d{i}"), doc);
-    }
-
-    let server = Server::new(Arc::clone(&service), ServerConfig::default());
-    eprintln!("driving a {ops}-request traced workload (2 tenants, mixed lookups, 10% writes) …");
-    let xpath = Lookup::xpath("//person[.//age = 42]").expect("query parses");
-    let mut tickets = Vec::new();
-    for i in 0..ops {
-        let doc_id = format!("d{}", i % docs_n);
-        let request = match i % 10 {
-            9 => {
-                let mut txn = service.begin();
-                txn.set_value(value_nodes[i % docs_n], format!("v{i}"));
-                Request::Commit { doc: doc_id, txn }
-            }
-            3 => Request::Query {
-                doc: doc_id,
-                lookup: xpath.clone(),
-            },
-            6 => Request::Query {
-                doc: doc_id,
-                lookup: Lookup::equi("42"),
-            },
-            7 => Request::Query {
-                doc: doc_id,
-                lookup: Lookup::contains("ap"),
-            },
-            _ => Request::Query {
-                doc: doc_id,
-                lookup: Lookup::range_f64(10.0..=20.0),
-            },
-        };
-        let tenant = if i % 2 == 0 { "even" } else { "odd" };
-        match server.submit(tenant, request) {
-            Ok(t) => tickets.push(t),
-            Err(ServeError::Overloaded { retry_after }) => std::thread::sleep(retry_after),
-            Err(e) => return Err(format!("metrics: {e}")),
-        }
-    }
-    for t in &tickets {
-        t.wait().map_err(|e| format!("metrics: {e}"))?;
-    }
-    server.shutdown();
-
-    let snap = service.obs().registry.snapshot();
-    eprintln!(
-        "{} series in the registry snapshot",
-        snap.series_names().len()
-    );
-    let body = if json {
-        snap.to_json()
-    } else {
-        snap.to_prometheus()
-    };
-    match &out {
-        Some(path) => {
-            std::fs::write(path, &body).map_err(|e| format!("--out {path}: {e}"))?;
-            eprintln!("wrote snapshot to {path}");
-        }
-        None => print!("{body}"),
-    }
-    if service.obs().tracer.enabled() {
-        eprintln!("--- flight recorder: slowest traced requests ---");
-        eprint!("{}", service.obs().tracer.recorder().render());
-    }
-    Ok(())
-}
-
 /// Dumps a registry snapshot to `path` (Prometheus text exposition)
 /// and `<path>.json` (the JSON document) — the `--metrics-out` tail of
-/// the `stress` and `serve` subcommands.
+/// the `serve` subcommand.
 fn write_metrics(snap: &RegistrySnapshot, path: &str) -> Result<(), String> {
     std::fs::write(path, snap.to_prometheus()).map_err(|e| format!("--metrics-out {path}: {e}"))?;
     let json_path = format!("{path}.json");
@@ -600,360 +435,20 @@ fn run_recover(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-/// `stress`: host several synthetic documents in an [`IndexService`]
-/// and hammer it with a zipf-skewed mixed reader/writer workload from
-/// many threads, then report throughput and verify the indices.
-/// `--pipeline <depth>` switches writers from blocking `commit` to
-/// `submit` with up to `depth` tickets in flight each; `--wal <dir>`
-/// makes every commit durable (group-fsynced WAL in `dir`) and
-/// checkpoints the directory once the run verifies.
-fn run_stress(args: &[String]) -> Result<(), String> {
-    let mut docs_n = 8usize;
-    let mut threads = 4usize;
-    let mut ops = 5_000usize;
-    let mut scale = 10u32;
-    let mut write_pct = 20u32;
-    let mut group = 64usize;
-    let mut shards = 8usize;
-    let mut seed = 42u64;
-    let mut pipeline = 1usize;
-    let mut wal: Option<String> = None;
-    let mut serve = false;
-    let mut metrics_out: Option<String> = None;
-    let mut i = 0;
-    while i < args.len() {
-        let val = |j: usize| -> Result<&String, String> {
-            args.get(j)
-                .ok_or_else(|| format!("{} needs a value", args[j - 1]))
-        };
-        if args[i] == "--serve" {
-            serve = true;
-            i += 1;
-            continue;
-        }
-        match args[i].as_str() {
-            "--docs" => docs_n = val(i + 1)?.parse().map_err(|e| format!("--docs: {e}"))?,
-            "--threads" => threads = val(i + 1)?.parse().map_err(|e| format!("--threads: {e}"))?,
-            "--ops" => ops = val(i + 1)?.parse().map_err(|e| format!("--ops: {e}"))?,
-            "--scale" => scale = val(i + 1)?.parse().map_err(|e| format!("--scale: {e}"))?,
-            "--write-pct" => {
-                write_pct = val(i + 1)?
-                    .parse()
-                    .map_err(|e| format!("--write-pct: {e}"))?;
-                if write_pct > 100 {
-                    return Err("--write-pct must be 0-100".into());
-                }
-            }
-            "--group" => group = val(i + 1)?.parse().map_err(|e| format!("--group: {e}"))?,
-            "--shards" => shards = val(i + 1)?.parse().map_err(|e| format!("--shards: {e}"))?,
-            "--seed" => seed = val(i + 1)?.parse().map_err(|e| format!("--seed: {e}"))?,
-            "--pipeline" => {
-                pipeline = val(i + 1)?
-                    .parse()
-                    .map_err(|e| format!("--pipeline: {e}"))?;
-                if pipeline == 0 {
-                    return Err("--pipeline must be at least 1".into());
-                }
-            }
-            "--wal" => wal = Some(val(i + 1)?.clone()),
-            "--metrics-out" => metrics_out = Some(val(i + 1)?.clone()),
-            other => return Err(format!("unknown stress option `{other}`")),
-        }
-        i += 2;
-    }
-    if docs_n == 0 || threads == 0 || ops == 0 {
-        return Err("--docs, --threads and --ops must be positive".into());
-    }
-
-    let suite = Dataset::paper_suite();
-    println!("generating {docs_n} documents at {scale}‰ …");
-    let docs: Vec<Document> = (0..docs_n)
-        .map(|i| {
-            let xml = suite[i % suite.len()].generate(scale);
-            Document::parse(&xml).expect("generated datasets parse")
-        })
-        .collect();
-
-    let config = ServiceConfig::with_shards(shards).with_max_group(group);
-    let service = Arc::new(match &wal {
-        Some(dir) => {
-            let service = IndexService::open(config.with_wal(dir))
-                .map_err(|e| format!("--wal {dir}: {e}"))?;
-            println!(
-                "durable mode: group-fsync WAL in {dir} ({} document(s) recovered)",
-                service.doc_count()
-            );
-            service
-        }
-        None => IndexService::new(config),
-    });
-    let base_commits = service.commit_count();
-    let t = Instant::now();
-    for (i, doc) in docs.iter().enumerate() {
-        service.insert_document(format!("d{i}"), doc.clone());
-    }
-    println!(
-        "indexed {} documents in {:.0} ms ({} shards, group limit {group})",
-        docs_n,
-        t.elapsed().as_secs_f64() * 1000.0,
-        shards
-    );
-    if pipeline > 1 {
-        println!("pipelined commits: up to {pipeline} in flight per writer thread");
-    }
-
-    let workload = ConcurrentWorkload::generate(
-        &docs,
-        &ConcurrentConfig {
-            ops,
-            write_permille: write_pct * 10,
-            writes_per_txn: 4,
-            zipf_theta: 0.99,
-        },
-        seed,
-    );
-    let writes = workload.write_count();
-    let shards_of_work = workload.into_shards(threads);
-
-    // Precomputed so the timed loop does not allocate an id per op.
-    let ids: Arc<Vec<String>> = Arc::new((0..docs_n).map(|i| format!("d{i}")).collect());
-    // Client-observed latency, split by operation class. Commits in
-    // pipelined mode are measured submit → reap (the whole in-flight
-    // span), matching what a pipelined client experiences.
-    let commit_hist = Arc::new(LatencyHistogram::new());
-    let read_hist = Arc::new(LatencyHistogram::new());
-    let server = serve.then(|| {
-        Arc::new(Server::new(
-            Arc::clone(&service),
-            ServerConfig {
-                workers: threads.clamp(2, 8),
-                max_in_flight: (threads * pipeline).max(16),
-                tenant_queue: (4 * pipeline).max(256),
-                ..ServerConfig::default()
-            },
-        ))
-    });
-    let barrier = Arc::new(Barrier::new(threads));
-    let t = Instant::now();
-    let handles: Vec<_> = shards_of_work
-        .into_iter()
-        .enumerate()
-        .map(|(tid, stream)| {
-            let service = Arc::clone(&service);
-            let barrier = Arc::clone(&barrier);
-            let ids = Arc::clone(&ids);
-            let commit_hist = Arc::clone(&commit_hist);
-            let read_hist = Arc::clone(&read_hist);
-            let server = server.clone();
-            std::thread::spawn(move || {
-                barrier.wait();
-                if let Some(server) = server {
-                    return drive_served(
-                        &server,
-                        &ids,
-                        stream,
-                        &tid.to_string(),
-                        pipeline,
-                        &commit_hist,
-                        &read_hist,
-                    );
-                }
-                let mut hits = 0usize;
-                // In pipelined mode each writer keeps up to `pipeline`
-                // submits in flight and reaps the oldest ticket only
-                // when the window is full.
-                let mut in_flight = VecDeque::new();
-                for op in stream {
-                    let id = &ids[op.doc()];
-                    match op {
-                        WorkloadOp::Write { writes, .. } => {
-                            let mut txn = service.begin();
-                            for (node, value) in writes {
-                                txn.set_value(node, value);
-                            }
-                            let start = Instant::now();
-                            if pipeline <= 1 {
-                                service.commit(id, txn).expect("stress writes are valid");
-                                commit_hist.record(start.elapsed());
-                            } else {
-                                in_flight.push_back((start, service.submit(id, txn)));
-                                if in_flight.len() >= pipeline {
-                                    let (start, ticket) =
-                                        in_flight.pop_front().expect("window is full");
-                                    ticket.wait().expect("stress writes are valid");
-                                    commit_hist.record(start.elapsed());
-                                }
-                            }
-                        }
-                        WorkloadOp::ReadEqui { value, .. } => {
-                            let start = Instant::now();
-                            hits += service
-                                .read(id, |doc, idx| {
-                                    idx.query(doc, &Lookup::equi(&value)).unwrap().len()
-                                })
-                                .expect("stress documents are registered");
-                            read_hist.record(start.elapsed());
-                        }
-                        WorkloadOp::ReadRange { lo, hi, .. } => {
-                            let start = Instant::now();
-                            hits += service
-                                .read(id, |doc, idx| {
-                                    idx.query(doc, &Lookup::range_f64(lo..=hi)).unwrap().len()
-                                })
-                                .expect("stress documents are registered");
-                            read_hist.record(start.elapsed());
-                        }
-                    }
-                }
-                for (start, ticket) in in_flight {
-                    ticket.wait().expect("stress writes are valid");
-                    commit_hist.record(start.elapsed());
-                }
-                hits
-            })
-        })
-        .collect();
-    let mut total_hits = 0usize;
-    for h in handles {
-        total_hits += h.join().expect("stress worker panicked");
-    }
-    let elapsed = t.elapsed();
-
-    println!(
-        "{ops} ops ({writes} commits, {} reads, {total_hits} read hits) on {threads} threads \
-         in {:.0} ms — {:.0} ops/s",
-        ops - writes,
-        elapsed.as_secs_f64() * 1000.0,
-        ops as f64 / elapsed.as_secs_f64()
-    );
-    print_latency("commit latency", &commit_hist.snapshot());
-    print_latency("read latency  ", &read_hist.snapshot());
-    if let Some(server) = &server {
-        let stats = server.stats();
-        println!(
-            "server: admitted={} rejected={} completed={} in-flight={} queue-depth={}",
-            stats.admitted, stats.rejected, stats.completed, stats.in_flight, stats.queue_depth
-        );
-        print_latency("server latency", &stats.latency);
-        server.shutdown();
-    }
-    assert_eq!(
-        service.commit_count() - base_commits,
-        writes as u64,
-        "commit accounting diverged"
-    );
-    print!("verifying maintained indices against fresh rebuilds … ");
-    std::io::stdout().flush().ok();
-    for i in 0..docs_n {
-        service
-            .read(&format!("d{i}"), |doc, idx| {
-                idx.verify_against(doc)
-                    .unwrap_or_else(|e| panic!("d{i}: {e}"))
-            })
-            .expect("stress documents are registered");
-    }
-    println!("ok");
-    if let Some(dir) = &wal {
-        let t = Instant::now();
-        service
-            .checkpoint()
-            .map_err(|e| format!("--wal {dir}: {e}"))?;
-        println!(
-            "checkpointed {dir} (logs truncated) in {:.0} ms",
-            t.elapsed().as_secs_f64() * 1000.0
-        );
-    }
-    if let Some(path) = &metrics_out {
-        write_metrics(&service.obs().registry.snapshot(), path)?;
-    }
-    Ok(())
-}
-
-fn print_latency(label: &str, hist: &xvi::serve::HistogramSnapshot) {
-    if hist.count() == 0 {
-        return;
-    }
-    println!(
-        "{label}: p50={:?} p90={:?} p99={:?} p999={:?} max={:?} (n={})",
-        hist.percentile(0.50),
-        hist.percentile(0.90),
-        hist.percentile(0.99),
-        hist.percentile(0.999),
-        hist.max(),
-        hist.count()
-    );
-}
-
-/// The `--serve` worker loop of `stress`: the same workload stream,
-/// but every operation goes through the serving frontend as tenant
-/// `tid` — admission control, DRR dispatch — keeping up to `pipeline`
-/// response tickets in flight.
-fn drive_served(
-    server: &Server,
-    ids: &[String],
-    stream: impl IntoIterator<Item = WorkloadOp>,
-    tenant: &str,
-    pipeline: usize,
-    commit_hist: &LatencyHistogram,
-    read_hist: &LatencyHistogram,
-) -> usize {
-    let mut hits = 0usize;
-    let mut in_flight: VecDeque<(Instant, ResponseTicket)> = VecDeque::new();
-    let reap = |(start, ticket): (Instant, ResponseTicket), hits: &mut usize| match ticket
-        .wait()
-        .expect("served stress requests succeed")
-    {
-        Response::Commit(_) => commit_hist.record(start.elapsed()),
-        Response::Query(found) => {
-            *hits += found.len();
-            read_hist.record(start.elapsed());
-        }
-    };
-    for op in stream {
-        let id = ids[op.doc()].clone();
-        let request = match op {
-            WorkloadOp::Write { writes, .. } => {
-                let mut txn = server.service().begin();
-                for (node, value) in writes {
-                    txn.set_value(node, value);
-                }
-                Request::Commit { doc: id, txn }
-            }
-            WorkloadOp::ReadEqui { value, .. } => Request::Query {
-                doc: id,
-                lookup: Lookup::equi(value),
-            },
-            WorkloadOp::ReadRange { lo, hi, .. } => Request::Query {
-                doc: id,
-                lookup: Lookup::range_f64(lo..=hi),
-            },
-        };
-        let start = Instant::now();
-        let ticket = loop {
-            // A closed-loop client honours the server's backoff hint.
-            match server.submit(tenant, request.clone()) {
-                Ok(t) => break t,
-                Err(ServeError::Overloaded { retry_after }) => std::thread::sleep(retry_after),
-                Err(e) => panic!("serve stress: {e}"),
-            }
-        };
-        in_flight.push_back((start, ticket));
-        if in_flight.len() >= pipeline.max(1) {
-            let entry = in_flight.pop_front().expect("window is full");
-            reap(entry, &mut hits);
-        }
-    }
-    for entry in in_flight {
-        reap(entry, &mut hits);
-    }
-    hits
-}
-
+/// `serve`: host `--docs` generated documents in an [`IndexService`]
+/// (durably with `--wal <dir>`) behind the `xvi-serve` frontend, drive
+/// a mixed workload from two tenants — range, equality, `contains` and
+/// XPath queries plus 10% one-write commits — then check the run: every
+/// request completed, every commit counted, every maintained index
+/// equal to a fresh rebuild. A refused request is resubmitted until it
+/// is admitted. `--export` streams a pinned snapshot afterwards.
 fn run_serve_cmd(args: &[String]) -> Result<(), String> {
     let mut docs_n = 4usize;
     let mut scale = 10u32;
     let mut shards = 4usize;
     let mut ops = 2_000usize;
+    let mut wal: Option<String> = None;
+    let mut trace_rate = 0.0f64;
     let mut export: Option<String> = None;
     let mut out: Option<String> = None;
     let mut metrics_out: Option<String> = None;
@@ -968,6 +463,12 @@ fn run_serve_cmd(args: &[String]) -> Result<(), String> {
             "--scale" => scale = val(i + 1)?.parse().map_err(|e| format!("--scale: {e}"))?,
             "--shards" => shards = val(i + 1)?.parse().map_err(|e| format!("--shards: {e}"))?,
             "--ops" => ops = val(i + 1)?.parse().map_err(|e| format!("--ops: {e}"))?,
+            "--wal" => wal = Some(val(i + 1)?.clone()),
+            "--trace-rate" => {
+                trace_rate = val(i + 1)?
+                    .parse()
+                    .map_err(|e| format!("--trace-rate: {e}"))?;
+            }
             "--export" => export = Some(val(i + 1)?.clone()),
             "--out" => out = Some(val(i + 1)?.clone()),
             "--metrics-out" => metrics_out = Some(val(i + 1)?.clone()),
@@ -984,9 +485,18 @@ fn run_serve_cmd(args: &[String]) -> Result<(), String> {
         .map(|s| ExportSpec::parse(&s).map_err(|e| e.to_string()))
         .transpose()?;
 
+    let config = ServiceConfig::with_shards(shards)
+        .with_index(IndexConfig::default().with_substring_index());
+    let service = Arc::new(match &wal {
+        // No checkpoint at the end: `recover <dir>` replays a real log.
+        Some(dir) => {
+            IndexService::open(config.with_wal(dir)).map_err(|e| format!("--wal {dir}: {e}"))?
+        }
+        None => IndexService::new(config),
+    });
+    service.obs().tracer.set_sample_rate(trace_rate);
     let suite = Dataset::paper_suite();
     eprintln!("generating and indexing {docs_n} documents at {scale}‰ …");
-    let service = Arc::new(IndexService::new(ServiceConfig::with_shards(shards)));
     let mut value_nodes = Vec::new();
     for i in 0..docs_n {
         let xml = suite[i % suite.len()].generate(scale);
@@ -998,23 +508,27 @@ fn run_serve_cmd(args: &[String]) -> Result<(), String> {
         );
         service.insert_document(format!("d{i}"), doc);
     }
+    let base_commits = service.commit_count();
 
     let server = Server::new(Arc::clone(&service), ServerConfig::default());
-    eprintln!("serving a {ops}-request mixed workload (2 tenants, 90/10 read/write) …");
+    eprintln!("serving a {ops}-request mixed workload (2 tenants, mixed lookups, 10% writes) …");
+    let xpath = Lookup::xpath("//person[.//age = 42]").expect("query parses");
     let mut tickets = Vec::new();
     for i in 0..ops {
         let request = || {
             let doc = format!("d{}", i % docs_n);
-            if i % 10 == 9 {
-                let mut txn = service.begin();
-                txn.set_value(value_nodes[i % docs_n], format!("v{i}"));
-                Request::Commit { doc, txn }
-            } else {
-                Request::Query {
-                    doc,
-                    lookup: Lookup::range_f64(10.0..=20.0),
+            let lookup = match i % 10 {
+                9 => {
+                    let mut txn = service.begin();
+                    txn.set_value(value_nodes[i % docs_n], format!("v{i}"));
+                    return Request::Commit { doc, txn };
                 }
-            }
+                3 => xpath.clone(),
+                6 => Lookup::equi("42"),
+                7 => Lookup::contains("ap"),
+                _ => Lookup::range_f64(10.0..=20.0),
+            };
+            Request::Query { doc, lookup }
         };
         let tenant = if i % 2 == 0 { "even" } else { "odd" };
         // A refused request is consumed by `submit`: wait out the
@@ -1031,16 +545,39 @@ fn run_serve_cmd(args: &[String]) -> Result<(), String> {
     for t in &tickets {
         t.wait().map_err(|e| format!("serve: {e}"))?;
     }
+    // A worker counts a completion just after it wakes the waiter:
+    // join the workers before reading the counters.
+    server.shutdown();
     let stats = server.stats();
     eprintln!(
-        "server: admitted={} rejected={} completed={} (commit count {})",
-        stats.admitted,
-        stats.rejected,
-        stats.completed,
-        service.commit_count()
+        "server: admitted={} rejected={} completed={}",
+        stats.admitted, stats.rejected, stats.completed
     );
-    print_latency("latency", &stats.latency);
-    server.shutdown();
+    let latency = &stats.latency;
+    eprintln!(
+        "latency: p50={:?} p90={:?} p99={:?} p999={:?} max={:?} (n={})",
+        latency.percentile(0.50),
+        latency.percentile(0.90),
+        latency.percentile(0.99),
+        latency.percentile(0.999),
+        latency.max(),
+        latency.count()
+    );
+    // Every tenth request (`i % 10 == 9`) was a commit.
+    let commits = (ops / 10) as u64;
+    let counted = service.commit_count() - base_commits;
+    if counted != commits {
+        return Err(format!(
+            "serve: {commits} commits sent but {counted} counted"
+        ));
+    }
+    for i in 0..docs_n {
+        service
+            .read(&format!("d{i}"), |doc, idx| idx.verify_against(doc))
+            .expect("served documents are registered")
+            .map_err(|e| format!("d{i}: maintained index diverges: {e}"))?;
+    }
+    eprintln!("{commits} commits counted; {docs_n} document(s) verified against fresh rebuilds");
 
     if let Some(spec) = export {
         // Pin one consistent cut across every document, then stream.
@@ -1064,6 +601,10 @@ fn run_serve_cmd(args: &[String]) -> Result<(), String> {
     }
     if let Some(path) = &metrics_out {
         write_metrics(&service.obs().registry.snapshot(), path)?;
+    }
+    if trace_rate > 0.0 {
+        eprintln!("--- flight recorder: slowest traced requests ---");
+        eprint!("{}", service.obs().tracer.recorder().render());
     }
     Ok(())
 }

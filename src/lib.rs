@@ -65,8 +65,8 @@ pub mod prelude {
     pub use xvi_hash::{combine, hash_str, HashValue};
     pub use xvi_index::{
         Bounds, CardinalityEstimate, CommitReceipt, CommitTicket, DocSnapshot, Durability,
-        IndexConfig, IndexManager, IndexService, Lookup, Plan, PlannerConfig, QueryEngine,
-        ServiceConfig, ServiceSnapshot,
+        IndexConfig, IndexManager, IndexService, Lookup, Plan, QueryEngine, ServiceConfig,
+        ServiceSnapshot,
     };
     pub use xvi_obs::{Obs, Stage, Trace};
     pub use xvi_serve::{
