@@ -343,8 +343,11 @@ pub(crate) fn read_checkpoint(dir: &Path) -> io::Result<Checkpoint> {
         let id = read_str(&mut manifest)?;
         let version = read_u64(&mut manifest)?;
         let xml = std::fs::read_to_string(dir.join(format!("doc{i}.xml")))?;
-        let doc = Document::parse(&xml)
+        let mut doc = Document::parse(&xml)
             .map_err(|e| bad(format!("catalog document {id:?} failed to parse: {e}")))?;
+        // Nothing logs a reopened document: free its copy of the text
+        // now, not when the whole catalog has been read.
+        doc.drop_source();
         let idx = IndexManager::build(&doc, index.clone());
         docs.push((id, version, doc, idx));
     }

@@ -945,8 +945,12 @@ impl IndexService {
     ///
     /// On a [`Durability::Wal`] service the log record and the index
     /// are produced at the same time, under the shard's wal mutex. One
-    /// scoped helper thread serializes the document, appends the record
-    /// and fsyncs it. Meanwhile the calling thread runs the build's
+    /// scoped helper thread appends the record and fsyncs it. The
+    /// record holds the text the document was parsed from
+    /// ([`Document::source`]), and replay parses it into the same
+    /// arena. Only a document written since its parse has no source;
+    /// for that one the helper serializes the arena first. Meanwhile
+    /// the calling thread runs the build's
     /// shred pass, hands the typed bulk loads (and the substring build,
     /// if configured) to the helper, and bulk-loads the string index.
     /// The helper runs the typed loads once the record is durable; if
@@ -982,7 +986,12 @@ impl IndexService {
             // failed append.
             let helper =
                 std::thread::Builder::new().spawn_scoped(s, move || -> io::Result<_> {
-                    log.append_insert(id_ref, &xvi_xml::serialize::to_string(doc_ref))?;
+                    match doc_ref.source() {
+                        Some(xml) => log.append_insert(id_ref, xml)?,
+                        None => {
+                            log.append_insert(id_ref, &xvi_xml::serialize::to_string(doc_ref))?
+                        }
+                    };
                     log.sync()?;
                     // The sender is gone only if the caller panicked
                     // before handing the loads over.
@@ -1011,14 +1020,16 @@ impl IndexService {
 
     /// Registers a prebuilt `(document, index, version)` triple — the
     /// catalog loader's entry point, which must restore versions
-    /// instead of resetting them.
+    /// instead of resetting them. The installed document keeps no
+    /// source ([`Document::source`]): nothing logs it again.
     pub(crate) fn install_version(
         &self,
         id: String,
-        doc: Document,
+        mut doc: Document,
         idx: IndexManager,
         version: u64,
     ) {
+        doc.drop_source();
         let handle = Arc::new(DocHandle {
             id: id.clone(),
             published: RwLock::new(Arc::new(SharedVersion {

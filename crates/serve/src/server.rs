@@ -606,15 +606,16 @@ fn serve(shared: &ServerShared, job: Job) {
             .map_err(ServeError::from),
         Request::Commit { doc, txn } => commit_with_backoff(shared, &doc, txn, trace.as_ref()),
     };
-    // Completion bookkeeping: latency, sequence number, wake the
-    // waiter.
+    // Completion bookkeeping: latency, sequence number, count, and
+    // only then the result and the wake, so `stats()` read by a waiter
+    // that has its result already counts it.
     let elapsed = shared.clock.now_ns().saturating_sub(slot.enqueue_ns);
     shared.latency.record(Duration::from_nanos(elapsed));
     let seq = shared.completions.fetch_add(1, Ordering::SeqCst) + 1;
     slot.completion_index.store(seq, Ordering::SeqCst);
+    shared.completed.inc();
     *slot.result.lock().unwrap_or_else(|e| e.into_inner()) = Some(result);
     slot.done.notify_all();
-    shared.completed.inc();
     // The serve layer started the trace at admission, so it ends it
     // here — total = the same admission→completion span the latency
     // histogram records.
@@ -663,6 +664,46 @@ mod tests {
     use super::*;
     use xvi_index::ServiceConfig;
     use xvi_xml::Document;
+
+    /// `stats().completed` already counts every request whose waiter
+    /// has its result: read right after a round's tickets resolve, with
+    /// no `drain` or `shutdown` first, it equals the number submitted.
+    /// Odd rounds poll each ticket instead of blocking, so the check
+    /// runs as soon as the last result is in its slot.
+    #[test]
+    fn completion_is_counted_before_its_waiter_sees_it() {
+        const ROUNDS: u64 = 2000;
+        const PER_ROUND: u64 = 8;
+        let service = Arc::new(IndexService::new(ServiceConfig::with_shards(1)));
+        service.insert_document("a", Document::parse("<r><v>42</v></r>").unwrap());
+        let server = Server::new(service, ServerConfig::default());
+        for round in 0..ROUNDS {
+            let tickets: Vec<ResponseTicket> = (0..PER_ROUND)
+                .map(|_| {
+                    let query = Request::Query {
+                        doc: "a".into(),
+                        lookup: Lookup::equi("42"),
+                    };
+                    server.submit("t", query).unwrap()
+                })
+                .collect();
+            for t in &tickets {
+                if round % 2 == 0 {
+                    t.wait().unwrap();
+                } else {
+                    while t.try_get().is_none() {
+                        std::hint::spin_loop();
+                    }
+                }
+            }
+            assert_eq!(
+                server.stats().completed,
+                (round + 1) * PER_ROUND,
+                "round {round}"
+            );
+        }
+        server.shutdown();
+    }
 
     /// A zero quantum still serves: every round grants at least one
     /// cost unit.

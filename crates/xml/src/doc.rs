@@ -1,6 +1,8 @@
 //! The arena document store.
 
 use std::collections::HashMap;
+use std::fmt;
+use std::sync::Arc;
 
 use xvi_btree::{PagedVec, StagedPages};
 
@@ -28,11 +30,26 @@ use crate::node::{NameId, NodeData, NodeId, NodeKind};
 /// assert_eq!(doc.name(root), Some("name"));
 /// assert_eq!(doc.string_value(root), "ArthurDent");
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Clone)]
 pub struct Document {
     nodes: PagedVec<NodeData>,
     names: Names,
     free: Vec<NodeId>,
+    /// The text [`Document::parse`] read, until the first write to the
+    /// arena: re-parsing it rebuilds exactly this arena.
+    source: Option<Arc<str>>,
+}
+
+/// Prints the source's length only: a kept source can be megabytes.
+impl fmt::Debug for Document {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Document")
+            .field("nodes", &self.nodes)
+            .field("names", &self.names)
+            .field("free", &self.free)
+            .field("source_len", &self.source.as_deref().map(str::len))
+            .finish()
+    }
 }
 
 /// The name table: `NameId`s in first-interned order, found through a
@@ -129,10 +146,12 @@ impl Arena for Document {
 
     #[inline]
     fn slot_mut(&mut self, id: NodeId) -> &mut NodeData {
+        self.source = None;
         &mut self.nodes[id.index()]
     }
 
     fn alloc(&mut self, kind: NodeKind) -> NodeId {
+        self.source = None;
         if let Some(id) = self.free.pop() {
             self.nodes[id.index()] = NodeData::new(kind);
             id
@@ -158,6 +177,7 @@ impl Document {
             nodes,
             names: Names::default(),
             free: Vec::new(),
+            source: None,
         }
     }
 
@@ -168,8 +188,26 @@ impl Document {
     }
 
     /// Shreds XML text into a document (see [`crate::parser`]).
+    ///
+    /// The document keeps one copy of `input` until its first write
+    /// ([`Document::source`]), so a caller that logs the document can
+    /// log the text it came from instead of serializing the arena.
     pub fn parse(input: &str) -> Result<Document, ParseError> {
         crate::parser::parse(input)
+    }
+
+    /// The text this document was parsed from (minus any byte-order
+    /// mark), if nothing has been written to it since. Parsing it again yields this document, node
+    /// ids included. Every mutator (`intern`, `create_*`, `append_*`,
+    /// `set_attribute`, `set_value`, `delete_subtree`) drops it; a
+    /// clone shares it until one of the two is written.
+    pub fn source(&self) -> Option<&str> {
+        self.source.as_deref()
+    }
+
+    /// Drops the kept source ([`Document::source`]) to free its memory.
+    pub fn drop_source(&mut self) {
+        self.source = None;
     }
 
     /// The document node.
@@ -188,6 +226,7 @@ impl Document {
 
     /// Interns `name`, returning its id.
     pub fn intern(&mut self, name: &str) -> NameId {
+        self.source = None;
         self.names.intern(name)
     }
 
@@ -496,6 +535,7 @@ impl Document {
             !matches!(self.kind(id), NodeKind::Document),
             "cannot delete the document node"
         );
+        self.source = None;
         let parent = self.parent(id);
         // Unlink from the sibling chain.
         let (prev, next) = {
@@ -674,12 +714,14 @@ impl Staged {
         self.link_attribute(parent, name, value)
     }
 
-    /// Seals the staged nodes into a [`Document`].
-    pub(crate) fn finish(self) -> Document {
+    /// Seals the staged nodes into a [`Document`] that keeps `source`,
+    /// the text they were parsed from.
+    pub(crate) fn finish(self, source: &str) -> Document {
         Document {
             nodes: self.nodes.seal(),
             names: self.names,
             free: Vec::new(),
+            source: Some(Arc::from(source)),
         }
     }
 }
@@ -1023,6 +1065,113 @@ mod tests {
         let slot = name_cache_slot("a0000z");
         assert!((1..6_000).all(|i| name_cache_slot(&format!("a{i:04}z")) == slot));
         assert_ne!(name_cache_slot("item"), name_cache_slot("name"));
+    }
+
+    const SOURCE: &str = r#"<r a="1"><c>x &amp; y</c><d/></r>"#;
+
+    /// The first text node of `d`.
+    fn text(d: &Document) -> NodeId {
+        d.descendants(d.document_node())
+            .find(|&n| matches!(d.kind(n), NodeKind::Text(_)))
+            .unwrap()
+    }
+
+    /// A named call to one public mutator.
+    type Mutator = (&'static str, fn(&mut Document));
+
+    /// Each public mutator, called once on a freshly parsed document
+    /// whose source is kept. Those that need a detached node create it
+    /// first and then put the source back, so the one call under test
+    /// is what has to drop it.
+    fn mutators() -> Vec<Mutator> {
+        fn detached(d: &mut Document) -> NodeId {
+            let e = d.create_element("e");
+            d.source = Some(Arc::from(SOURCE));
+            e
+        }
+        vec![
+            ("intern", |d| {
+                d.intern("r");
+            }),
+            ("create_element", |d| {
+                d.create_element("e");
+            }),
+            ("create_text", |d| {
+                d.create_text("t");
+            }),
+            ("create_comment", |d| {
+                d.create_comment("c");
+            }),
+            ("create_pi", |d| {
+                d.create_pi("p", "data");
+            }),
+            ("append_child", |d| {
+                let e = detached(d);
+                let r = d.root_element().unwrap();
+                d.append_child(r, e);
+            }),
+            ("append_element", |d| {
+                let r = d.root_element().unwrap();
+                d.append_element(r, "e");
+            }),
+            ("append_text", |d| {
+                let r = d.root_element().unwrap();
+                d.append_text(r, "t");
+            }),
+            ("set_attribute (new)", |d| {
+                let r = d.root_element().unwrap();
+                d.set_attribute(r, "b", "2");
+            }),
+            ("set_attribute (replace)", |d| {
+                let r = d.root_element().unwrap();
+                d.set_attribute(r, "a", "2");
+            }),
+            ("set_value", |d| {
+                let t = text(d);
+                d.set_value(t, "z");
+            }),
+            ("delete_subtree", |d| {
+                let t = text(d);
+                d.delete_subtree(t);
+            }),
+            ("delete_subtree (detached)", |d| {
+                let e = detached(d);
+                d.delete_subtree(e);
+            }),
+        ]
+    }
+
+    #[test]
+    fn every_mutator_drops_the_kept_source() {
+        for (name, mutate) in mutators() {
+            let mut d = Document::parse(SOURCE).unwrap();
+            assert_eq!(d.source(), Some(SOURCE), "{name}: parse keeps its input");
+            let copy = d.clone();
+            mutate(&mut d);
+            assert_eq!(d.source(), None, "{name} must drop the source");
+            assert_eq!(copy.source(), Some(SOURCE), "{name}: a clone keeps its own");
+        }
+    }
+
+    #[test]
+    fn reads_keep_the_source_and_drop_source_drops_it() {
+        let mut d = Document::parse(SOURCE).unwrap();
+        let t = text(&d);
+        let _ = (d.string_value(t), d.stats(), d.pre_post_view());
+        let _ = d.clone();
+        assert_eq!(d.source(), Some(SOURCE));
+        d.drop_source();
+        assert_eq!(d.source(), None);
+        assert_eq!(Document::new().source(), None);
+    }
+
+    #[test]
+    fn debug_prints_the_source_length_not_the_source() {
+        let d = Document::parse(SOURCE).unwrap();
+        let shown = format!("{d:?}");
+        assert!(shown.contains(&format!("source_len: Some({})", SOURCE.len())));
+        // The arena holds the decoded text; only the source has `&amp;`.
+        assert!(!shown.contains("&amp;"), "{shown}");
     }
 
     #[test]

@@ -29,7 +29,8 @@ use crate::doc::{Document, Staged};
 use crate::error::ParseError;
 use crate::node::{NodeId, NodeKind};
 
-/// Parses XML text into a [`Document`].
+/// Parses XML text into a [`Document`], which keeps a copy of `input`
+/// until its first write ([`Document::source`]).
 pub fn parse(input: &str) -> Result<Document, ParseError> {
     Parser::new(input).run()
 }
@@ -152,7 +153,7 @@ impl<'a> Parser<'a> {
         if !self.seen_root {
             return self.err("document has no root element");
         }
-        Ok(self.doc.finish())
+        Ok(self.doc.finish(self.input))
     }
 
     /// Accumulates character data up to the next `<`, decoding

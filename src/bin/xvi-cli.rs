@@ -516,19 +516,27 @@ fn run_serve_cmd(args: &[String]) -> Result<(), String> {
     let mut tickets = Vec::new();
     for i in 0..ops {
         let request = || {
-            let doc = format!("d{}", i % docs_n);
             let lookup = match i % 10 {
                 9 => {
+                    // The commit's own count picks its document, so
+                    // every document is written whatever `--docs` is.
+                    let target = (i / 10) % docs_n;
                     let mut txn = service.begin();
-                    txn.set_value(value_nodes[i % docs_n], format!("v{i}"));
-                    return Request::Commit { doc, txn };
+                    txn.set_value(value_nodes[target], format!("v{i}"));
+                    return Request::Commit {
+                        doc: format!("d{target}"),
+                        txn,
+                    };
                 }
                 3 => xpath.clone(),
                 6 => Lookup::equi("42"),
                 7 => Lookup::contains("ap"),
                 _ => Lookup::range_f64(10.0..=20.0),
             };
-            Request::Query { doc, lookup }
+            Request::Query {
+                doc: format!("d{}", i % docs_n),
+                lookup,
+            }
         };
         let tenant = if i % 2 == 0 { "even" } else { "odd" };
         // A refused request is consumed by `submit`: wait out the
@@ -545,10 +553,10 @@ fn run_serve_cmd(args: &[String]) -> Result<(), String> {
     for t in &tickets {
         t.wait().map_err(|e| format!("serve: {e}"))?;
     }
-    // A worker counts a completion just after it wakes the waiter:
-    // join the workers before reading the counters.
-    server.shutdown();
+    // A worker counts a completion before it hands over the result,
+    // so the counters are complete once every ticket has resolved.
     let stats = server.stats();
+    server.shutdown();
     eprintln!(
         "server: admitted={} rejected={} completed={}",
         stats.admitted, stats.rejected, stats.completed

@@ -44,7 +44,7 @@ fn path(p: &Path) -> &str {
 
 /// A durable `serve` completes every request — refused ones are
 /// resubmitted — and leaves a log that `recover` replays: every
-/// commit on record, every document's indices verified.
+/// commit on record, every document written and its indices verified.
 #[test]
 fn durable_serve_then_recover() {
     const OPS: usize = 1000;
@@ -62,13 +62,18 @@ fn durable_serve_then_recover() {
         "{recovered}"
     );
     for doc in ["d0", "d1"] {
-        assert!(
-            recovered
-                .lines()
-                .any(|l| l.trim_start().starts_with(&format!("{doc}:"))
-                    && l.ends_with("indices verified")),
-            "{doc} not verified:\n{recovered}"
-        );
+        let line = recovered
+            .lines()
+            .map(str::trim_start)
+            .find(|l| l.starts_with(&format!("{doc}: version ")))
+            .unwrap_or_else(|| panic!("{doc} not recovered:\n{recovered}"));
+        assert!(line.ends_with("indices verified"), "{line}");
+        let version: u64 = line[format!("{doc}: version ").len()..]
+            .split(',')
+            .next()
+            .and_then(|v| v.parse().ok())
+            .unwrap_or_else(|| panic!("no version in {line:?}"));
+        assert!(version > 0, "{doc} was never written: {line}");
     }
 }
 
